@@ -1,25 +1,24 @@
-"""Simulator clock-mode speed: exact vs fast vs bounded.
+"""Simulator clock-mode speed: exact vs fast.
 
-The full Table-1 suite runs under EAS on both platforms in all three
-clock modes.  For each (platform, mode) the bench records suite
-wall-clock, total simulator ticks, macro-steps and phase replays (from
-the ``soc.*`` observability counters), per-workload wall-clock and
-results, and - for the bounded mode - the maximum observed error
-against the exact reference, which must stay inside the platform's
-``bounded_tol`` contract.  Everything lands in ``BENCH_sim.json``
-(path overridable via ``$BENCH_SIM_JSON``).
+The full Table-1 suite runs under EAS on both platforms in both clock
+modes.  For each (platform, mode) the bench records suite wall-clock,
+total simulator ticks and macro-steps (from the ``soc.*``
+observability counters), per-workload wall-clock and results, and the
+fast mode's maximum observed error against the exact reference, which
+must stay inside the 1e-6 contract.  Everything lands in
+``BENCH_sim.json`` (path overridable via ``$BENCH_SIM_JSON``).
 
 Speedup gates (see docs/PERFORMANCE.md for the full analysis):
 
 * ``$SIM_SPEED_MIN_SPEEDUP`` (default 5.0) - the tick-dense tablet
-  suite, where fast-forwarding and phase replay pay off massively.
+  suite, where fast-forwarding pays off massively.
 * ``$SIM_SPEED_MIN_DESKTOP`` (default 0.7) - the desktop suite, a
   *no-regression floor*, not a speedup target.  The desktop's
   many-launch workloads ramp the PCU continuously (frequencies never
   recur, phases never settle, spans stay under the batch minimum), so
-  no memoization/replay/macro-step lever applies; accelerated modes
-  run at parity with exact there, and the floor only guards against an
-  accelerated mode becoming an outright slowdown beyond machine noise.
+  no memoization/macro-step lever applies; fast mode runs at parity
+  with exact there, and the floor only guards against it becoming an
+  outright slowdown beyond machine noise.
 
 Workload construction and platform characterization are prewarmed
 before any timing, so wall-clock measures simulation, not setup.
@@ -45,11 +44,10 @@ MIN_SPEEDUP = float(os.environ.get("SIM_SPEED_MIN_SPEEDUP", "5.0"))
 MIN_DESKTOP = float(os.environ.get("SIM_SPEED_MIN_DESKTOP", "0.7"))
 
 #: Contract held against the exact reference: ``fast`` promises this
-#: relative agreement outright; ``bounded`` promises the platform's
-#: ``bounded_tol`` (same default).
+#: relative agreement on every end-to-end observable.
 REL_TOL = 1e-6
 
-MODES = ("exact", "fast", "bounded")
+MODES = ("exact", "fast")
 
 
 def _prewarm(base_spec, tablet):
@@ -65,7 +63,7 @@ def _run_suite(base_spec, tablet, tick_mode):
     """EAS over the platform's Table-1 suite in one clock mode."""
     spec = replace(base_spec, tick_mode=tick_mode)
     characterization = get_characterization(base_spec)
-    totals = {"ticks": 0, "macro_steps": 0, "phases": 0, "phase_replays": 0}
+    totals = {"ticks": 0, "macro_steps": 0, "phases": 0}
     per_workload = {}
     started = time.perf_counter()
     for workload in suite_workloads(tablet=tablet):
@@ -88,7 +86,6 @@ def _run_suite(base_spec, tablet, tick_mode):
         "ticks": totals["ticks"],
         "macro_steps": totals["macro_steps"],
         "phases": totals["phases"],
-        "phase_replays": totals["phase_replays"],
         "ticks_per_phase": round(totals["ticks"] / phases, 2),
         "per_workload": per_workload,
     }
@@ -126,24 +123,23 @@ def _compare_platform(base_spec, tablet):
     _prewarm(base_spec, tablet)
     modes = {mode: _run_suite(base_spec, tablet, mode) for mode in MODES}
     exact = modes["exact"]
-    report = {"modes": modes, "speedup": {}, "max_rel_error": {}}
-    for mode in ("fast", "bounded"):
-        candidate = modes[mode]
-        error = _max_rel_error(exact, candidate)
-        tol = REL_TOL if mode == "fast" else base_spec.bounded_tol
-        assert error <= tol, (
-            f"{base_spec.name}/{mode}: end-to-end divergence {error:.2e} "
-            f"exceeds the {tol:.0e} contract - the speedup is "
-            f"meaningless if the mode computed something else")
-        report["max_rel_error"][mode] = error
-        report["speedup"][mode] = round(
-            exact["wall_s"] / max(candidate["wall_s"], 1e-9), 2)
-    return report
+    fast = modes["fast"]
+    error = _max_rel_error(exact, fast)
+    assert error <= REL_TOL, (
+        f"{base_spec.name}/fast: end-to-end divergence {error:.2e} "
+        f"exceeds the {REL_TOL:.0e} contract - the speedup is "
+        f"meaningless if the mode computed something else")
+    return {
+        "modes": modes,
+        "max_rel_error": {"fast": error},
+        "speedup": {"fast": round(
+            exact["wall_s"] / max(fast["wall_s"], 1e-9), 2)},
+    }
 
 
 def test_sim_speed(benchmark):
     report = {
-        "suite": "EAS over the Table-1 workloads, all three clock modes",
+        "suite": "EAS over the Table-1 workloads, both clock modes",
         "min_speedup_tick_dense": MIN_SPEEDUP,
         "min_speedup_desktop_floor": MIN_DESKTOP,
         "platforms": {},
@@ -166,41 +162,33 @@ def test_sim_speed(benchmark):
     tablet = report["platforms"]["tablet"]
     desktop = report["platforms"]["desktop"]
     for name, platform in report["platforms"].items():
-        for mode in ("fast", "bounded"):
-            benchmark.extra_info[f"{name}_{mode}_speedup"] = (
-                platform["speedup"][mode])
+        benchmark.extra_info[f"{name}_fast_speedup"] = (
+            platform["speedup"]["fast"])
         benchmark.extra_info[f"{name}_ticks_exact"] = (
             platform["modes"]["exact"]["ticks"])
 
-    # The accelerated modes must actually accelerate structurally:
-    # fewer scalar ticks and real macro-steps on both platforms, and
-    # phase replays only in bounded mode.
+    # Fast mode must actually accelerate structurally: fewer scalar
+    # ticks and real macro-steps on both platforms.
     for platform in (tablet, desktop):
         exact = platform["modes"]["exact"]
-        for mode in ("fast", "bounded"):
-            assert platform["modes"][mode]["ticks"] < exact["ticks"]
-            assert platform["modes"][mode]["macro_steps"] > 0
+        assert platform["modes"]["fast"]["ticks"] < exact["ticks"]
+        assert platform["modes"]["fast"]["macro_steps"] > 0
         assert exact["macro_steps"] == 0
-        assert exact["phase_replays"] == 0
-        assert platform["modes"]["fast"]["phase_replays"] == 0
 
-    # Headline gate: the tick-dense tablet suite, where phase replay
-    # makes bounded the fastest mode.
-    best_tablet = max(tablet["speedup"].values())
-    assert best_tablet >= MIN_SPEEDUP, (
-        f"tablet suite best speedup {best_tablet}x below the "
+    # Headline gate: the tick-dense tablet suite.
+    tablet_speedup = tablet["speedup"]["fast"]
+    assert tablet_speedup >= MIN_SPEEDUP, (
+        f"tablet suite fast speedup {tablet_speedup}x below the "
         f"{MIN_SPEEDUP}x floor "
         f"(exact {tablet['modes']['exact']['wall_s']}s, "
-        f"fast {tablet['modes']['fast']['wall_s']}s, "
-        f"bounded {tablet['modes']['bounded']['wall_s']}s)")
+        f"fast {tablet['modes']['fast']['wall_s']}s)")
 
-    # Desktop no-regression floor: accelerated modes run at parity on
-    # the ramp-dominated desktop suite (see docs/PERFORMANCE.md); the
+    # Desktop no-regression floor: fast mode runs at parity on the
+    # ramp-dominated desktop suite (see docs/PERFORMANCE.md); the
     # floor flags only a real slowdown beyond machine noise.
-    best_desktop = max(desktop["speedup"].values())
-    assert best_desktop >= MIN_DESKTOP, (
-        f"desktop suite best speedup {best_desktop}x fell below the "
+    desktop_speedup = desktop["speedup"]["fast"]
+    assert desktop_speedup >= MIN_DESKTOP, (
+        f"desktop suite fast speedup {desktop_speedup}x fell below the "
         f"{MIN_DESKTOP}x no-regression floor "
         f"(exact {desktop['modes']['exact']['wall_s']}s, "
-        f"fast {desktop['modes']['fast']['wall_s']}s, "
-        f"bounded {desktop['modes']['bounded']['wall_s']}s)")
+        f"fast {desktop['modes']['fast']['wall_s']}s)")

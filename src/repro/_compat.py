@@ -8,7 +8,6 @@ clean.
 from __future__ import annotations
 
 import sys
-import warnings
 
 #: Extra ``dataclass`` keyword arguments enabling ``__slots__`` where
 #: the interpreter supports it (3.10+).  Applied to hot per-tick
@@ -18,26 +17,3 @@ import warnings
 #: On 3.9 the classes silently fall back to dict-based instances.
 DATACLASS_SLOTS: "dict[str, bool]" = (
     {"slots": True} if sys.version_info >= (3, 10) else {})
-
-#: Deprecated spellings already warned about in this process.  Keyed
-#: explicitly (not via the ``warnings`` registry, which per-module
-#: ``simplefilter("always")`` resets) so each old spelling warns
-#: exactly once per process however many times it is exercised - the
-#: contract the shim tests pin.
-_warned_once: "set[str]" = set()
-
-
-def warn_once(key: str, message: str,
-              category: "type[Warning]" = DeprecationWarning,
-              stacklevel: int = 3) -> bool:
-    """Emit ``message`` once per process for this ``key``.
-
-    Returns True when the warning actually fired (first call for the
-    key).  Deprecation shims across the package route through here so
-    a hot loop over a legacy spelling produces one line, not thousands.
-    """
-    if key in _warned_once:
-        return False
-    _warned_once.add(key)
-    warnings.warn(message, category, stacklevel=stacklevel)
-    return True

@@ -17,9 +17,7 @@ Every subcommand delegates to the surface that owns it - the
 figure/run/tenants family to :mod:`repro.harness.cli`, the fleet
 dispatcher to :mod:`repro.fleet.cli`, the scheduler service to
 :mod:`repro.service.cli` - so each keeps its full flag set
-(``python -m repro SUBCOMMAND --help``).  The old module entry points
-(``python -m repro.harness``, ``python -m repro.service``) still work
-but are deprecated aliases of this command.
+(``python -m repro SUBCOMMAND --help``).
 """
 
 from __future__ import annotations
@@ -47,8 +45,8 @@ _SUBCOMMANDS: Dict[str, str] = {
     "drain": "stop the scheduler service daemon cleanly",
 }
 
-#: Subcommands that translate to a ``python -m repro.harness`` flag
-#: taking a value (``repro figure 9`` -> ``--figure 9``).
+#: Subcommands that translate to a harness flag taking a value
+#: (``repro figure 9`` -> ``--figure 9``).
 _HARNESS_VALUE_COMMANDS = ("figure", "experiment", "run", "tenants")
 #: Subcommands that translate to a bare harness flag.
 _HARNESS_FLAG_COMMANDS = ("list", "all")

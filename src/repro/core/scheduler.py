@@ -52,8 +52,7 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.characterization import PlatformCharacterization
@@ -89,10 +88,8 @@ GPU_FAULTED_FALLBACK = "gpu-faulted-fallback"
 class SchedulerConfig:
     """Validated tunables of the EAS algorithm (ablation + resilience).
 
-    This is the blessed configuration object (it superseded the PR-1
-    ``EasConfig`` pile of loose knobs); invalid values raise
-    :class:`~repro.errors.SchedulingError` at construction instead of
-    misbehaving mid-run.
+    Invalid values raise :class:`~repro.errors.SchedulingError` at
+    construction instead of misbehaving mid-run.
     """
 
     # -- profiling / optimization knobs -------------------------------------------
@@ -196,31 +193,6 @@ class SchedulerConfig:
                  "gpu_busy_recheck_idle_s", "must be >= 0")
 
 
-_CONFIG_FIELD_NAMES = tuple(f.name for f in fields(SchedulerConfig))
-
-
-@dataclass
-class EasConfig(SchedulerConfig):
-    """Deprecated alias of :class:`SchedulerConfig` (PR-1 name).
-
-    Constructing it still works - the fields are identical - but emits
-    a :class:`DeprecationWarning`.  New code should build a
-    :class:`SchedulerConfig`.
-    """
-
-    def __post_init__(self) -> None:
-        warnings.warn(
-            "EasConfig is deprecated; use repro.SchedulerConfig instead",
-            DeprecationWarning, stacklevel=3)
-        super().__post_init__()
-
-
-#: Deprecated alias: per-invocation diagnostics are now full
-#: :class:`~repro.obs.records.DecisionRecord` audit records (the old
-#: ``EasDecision`` field names are preserved as a subset).
-EasDecision = DecisionRecord
-
-
 class EnergyAwareScheduler:
     """EAS: black-box energy-aware CPU-GPU work partitioning."""
 
@@ -228,25 +200,7 @@ class EnergyAwareScheduler:
                  metric: EnergyMetric,
                  classifier: Optional[OnlineClassifier] = None,
                  config: Optional[SchedulerConfig] = None,
-                 observer: Optional[Observer] = None,
-                 **legacy_knobs) -> None:
-        if legacy_knobs:
-            unknown = [k for k in legacy_knobs
-                       if k not in _CONFIG_FIELD_NAMES]
-            if unknown:
-                raise SchedulingError(
-                    f"unknown scheduler option(s) {sorted(unknown)}; "
-                    f"valid SchedulerConfig fields: "
-                    f"{sorted(_CONFIG_FIELD_NAMES)}")
-            if config is not None:
-                raise SchedulingError(
-                    "pass tuning knobs via SchedulerConfig or as keyword "
-                    "arguments, not both")
-            warnings.warn(
-                "passing scheduler knobs as loose keyword arguments is "
-                "deprecated; pass config=SchedulerConfig(...) instead",
-                DeprecationWarning, stacklevel=2)
-            config = SchedulerConfig(**legacy_knobs)
+                 observer: Optional[Observer] = None) -> None:
         self.characterization = characterization
         self.metric = metric
         self.classifier = classifier or OnlineClassifier()

@@ -9,7 +9,7 @@
 * :mod:`repro.harness.chaos` - the robustness chaos campaign: EAS on a
   fault-injecting SoC across a swept fault level (docs/ROBUSTNESS.md);
 * :mod:`repro.harness.report` - ASCII rendering of tables and series;
-* :mod:`repro.harness.cli` - ``python -m repro.harness --figure N``.
+* :mod:`repro.harness.cli` - ``python -m repro figure N``.
 """
 
 from repro.harness.chaos import (

@@ -1,20 +1,24 @@
-"""Command-line entry point: ``python -m repro.harness``.
+"""Harness command line behind ``python -m repro`` (see :mod:`repro.cli`).
 
 Examples::
 
-    python -m repro.harness --list
-    python -m repro.harness --figure 9
-    python -m repro.harness --experiment table1
-    python -m repro.harness --all
-    python -m repro.harness --run CC --platform desktop --metric edp
-    python -m repro.harness --run SL --strategies cpu,gpu,eas --metric energy
-    python -m repro.harness --run CC --trace /tmp/cc.json --metrics-out /tmp/cc-metrics.json
-    python -m repro.harness --run MM --strategies eas --fault-level 0.3 --seed 7
-    python -m repro.harness --figure 9 --jobs 4
-    python -m repro.harness --all --jobs 4 --cache-dir ~/.cache/repro
-    python -m repro.harness --figure chaos --no-cache
+    python -m repro list
+    python -m repro figure 9
+    python -m repro experiment table1
+    python -m repro all
+    python -m repro run CC --platform desktop --metric edp
+    python -m repro run SL --strategies cpu,gpu,eas --metric energy
+    python -m repro run CC --trace /tmp/cc.json --metrics-out /tmp/cc-metrics.json
+    python -m repro run MM --strategies eas --fault-level 0.3 --seed 7
+    python -m repro figure 9 --jobs 4
+    python -m repro all --jobs 4 --cache-dir ~/.cache/repro
+    python -m repro figure chaos --no-cache
 
-``--figure`` and ``--experiment`` are interchangeable: both accept a
+The front door translates each subcommand into this parser's flag
+(``figure 9`` -> ``--figure 9``), so :func:`main` also accepts the flag
+spelling directly.
+
+``figure`` and ``experiment`` are interchangeable: both accept a
 bare number (``9``), a ``figN`` id, or a named experiment (``table1``,
 ``chaos``).  Unknown names fail with did-you-mean suggestions.
 
@@ -211,7 +215,7 @@ def _make_cache(args: argparse.Namespace) -> Optional[ResultCache]:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.harness",
+        prog="python -m repro",
         description="Regenerate the paper's tables and figures, or run "
                     "custom strategy comparisons, on the simulated "
                     "platforms.")

@@ -1,22 +1,20 @@
 """Differential-testing substrate for simulator clock modes.
 
-The simulator ships three clock modes (:data:`repro.soc.spec.TICK_MODES`):
-``exact`` is the byte-stable reference, ``fast`` macro-steps settled
-spans with bit-identical per-tick commit replay, and ``bounded`` trades
-bit-exactness for speed under an explicit tolerance contract
-(``PlatformSpec.bounded_tol``, see docs/PERFORMANCE.md).  This module is
-the harness that keeps those three implementations honest against each
-other:
+The simulator ships two clock modes (:data:`repro.soc.spec.TICK_MODES`):
+``exact`` is the byte-stable reference, and ``fast`` macro-steps settled
+spans with bit-identical per-tick commit replay (see
+docs/PERFORMANCE.md).  This module is the harness that keeps the two
+implementations honest against each other:
 
 * :func:`run_case` executes one *case* - (platform, workload, fault
   level, tenancy) - under one clock mode and flattens everything the
   contract covers into named observables: end-to-end time and energy,
   per-invocation durations/energies/item counts/alphas, and the ordered
   sequence of :class:`~repro.obs.records.DecisionRecord` exit paths.
-* :func:`compare_outcomes` checks a candidate mode against the exact
+* :func:`compare_outcomes` checks a fast-mode outcome against the exact
   reference: every observable must satisfy
-  ``|candidate - reference| <= tol * max(1, |reference|)`` (the hybrid
-  absolute/relative bound the bounded contract is written in), and the
+  ``|candidate - reference| <= tol * max(1, |reference|)`` (a hybrid
+  absolute/relative bound, ``tol`` = :data:`FAST_TOL`), and the
   exit-path sequence must be *identical* - a tolerance-sized numeric
   wobble must never flip a scheduling decision.  Observables read
   through the quantized energy MSR get one quantization unit of extra
@@ -64,9 +62,8 @@ PLATFORM_FACTORIES = {
 #: Fault levels the differential grid sweeps (clean + heavy).
 DIFF_FAULT_LEVELS = (0.0, 0.3)
 
-#: Tolerance applied to the ``fast`` candidate: its contract is the
-#: same < 1e-6 relative agreement docs/PERFORMANCE.md has always
-#: promised (``bounded`` uses ``PlatformSpec.bounded_tol`` instead).
+#: Tolerance the ``fast`` candidate is held to: the < 1e-6 relative
+#: agreement docs/PERFORMANCE.md promises.
 FAST_TOL = 1e-6
 
 #: Second tenant co-scheduled with the case workload in 2-tenant
@@ -79,12 +76,12 @@ def fault_config_for(case: DiffCase) -> Optional[FaultConfig]:
 
     Timeline-perturbing fault classes (launch failures, hangs, busy
     flaps, counter corruption) run at the case's level - they are
-    exactly the dynamics that interact with macro-stepping and phase
-    replay, so the grid must exercise them.  MSR *read corruption*
-    stays off: a glitch XORs the register value, and across modes the
-    pre-glitch readings may legitimately differ by one quantization
-    unit (inside the tolerance budget), which the XOR amplifies through
-    bit carries into an arbitrary number of units.  Corrupted readings
+    exactly the dynamics that interact with macro-stepping, so the grid
+    must exercise them.  MSR *read corruption* stays off: a glitch XORs
+    the register value, and across modes the pre-glitch readings may
+    legitimately differ by one quantization unit (inside the tolerance
+    budget), which the XOR amplifies through bit carries into an
+    arbitrary number of units.  Corrupted readings
     are not comparable observable-by-observable; robustness to them
     belongs to the exact-mode chaos campaign, which asserts on
     aggregate outcomes instead.
@@ -300,17 +297,8 @@ def run_case(case: DiffCase, mode: str) -> CaseOutcome:
     return _multiprogram_outcome(case, mode)
 
 
-def mode_tolerance(case: DiffCase, mode: str) -> float:
-    """The error budget ``mode`` is held to on this case's platform."""
-    if mode == "exact":
-        return 0.0
-    if mode == "fast":
-        return FAST_TOL
-    return platform_for(case, mode).bounded_tol
-
-
 def compare_outcomes(reference: CaseOutcome, candidate: CaseOutcome,
-                     tol: float) -> DiffReport:
+                     tol: float = FAST_TOL) -> DiffReport:
     """Hold ``candidate`` to the tolerance contract around ``reference``.
 
     Both outcomes must come from the same case.  Observables present in
@@ -342,16 +330,12 @@ def compare_outcomes(reference: CaseOutcome, candidate: CaseOutcome,
     return report
 
 
-def diff_case(case: DiffCase, modes: Sequence[str] = ("fast", "bounded"),
-              reference: Optional[CaseOutcome] = None) -> List[DiffReport]:
-    """Run one case under exact + every candidate mode and compare."""
+def diff_case(case: DiffCase,
+              reference: Optional[CaseOutcome] = None) -> DiffReport:
+    """Run one case under exact and fast and compare."""
     if reference is None:
         reference = run_case(case, "exact")
-    return [
-        compare_outcomes(reference, run_case(case, mode),
-                         mode_tolerance(case, mode))
-        for mode in modes
-    ]
+    return compare_outcomes(reference, run_case(case, "fast"))
 
 
 def grid_cases(platforms: Sequence[str] = ("desktop", "tablet"),
@@ -378,7 +362,7 @@ def grid_cases(platforms: Sequence[str] = ("desktop", "tablet"),
                         platform=platform, workload=abbrev,
                         fault_level=fault_level, tenants=tenants, seed=seed))
     # One deadline-constrained case per platform.  The deadline is very
-    # loose so every grid point is feasible under all three clock modes
+    # loose so every grid point is feasible under both clock modes
     # (a tight deadline could flip the feasible set - and the exit path -
     # between modes near the boundary; that behavior is locked by
     # single-mode unit tests instead).  What this locks is that the

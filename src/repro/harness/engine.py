@@ -49,9 +49,9 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
+from multiprocessing.connection import wait as wait_for_ready
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro._compat import warn_once
 from repro.core.baselines import (
     CpuOnlyScheduler,
     GpuOnlyScheduler,
@@ -84,8 +84,8 @@ from repro.workloads.registry import workload_by_abbrev
 #: serialized as a canonical dict (was an opaque string), and the
 #: ``fleet-cell`` kind joined the dispatch table.
 #:
-#: v5: the ``bounded`` tick mode landed (``PlatformSpec.bounded_tol``
-#: joined the canonical platform dict) and workers execute specs in
+#: v5: the ``bounded`` tick mode landed (its tolerance field joined
+#: the canonical platform dict) and workers execute specs in
 #: model-identity gangs sharing a :class:`~repro.soc.vector.VectorCore`.
 #:
 #: v6: the ``fleet-dispatch`` kind joined the dispatch table and
@@ -98,7 +98,10 @@ from repro.workloads.registry import workload_by_abbrev
 #: metric names (``"edp@2"``) flow through ``SchedulerSpec.metric``,
 #: and fleet specs may carry carbon/deferral fields.  The scheduler
 #: dict layout changed, so every pre-v7 entry must miss.
-CACHE_SCHEMA_VERSION = 7
+#:
+#: v8: the ``bounded`` tick mode was removed and its tolerance field
+#: left the canonical platform dict.
+CACHE_SCHEMA_VERSION = 8
 
 # -- task kinds -----------------------------------------------------------------
 
@@ -285,10 +288,7 @@ class RunSpec:
     #: Kind-specific numeric parameters, canonicalized.
     params: Tuple[Tuple[str, float], ...] = ()
     #: Multiprogram tenancy description (``multiprogram`` only): a
-    #: typed :class:`~repro.runtime.tenancy.TenancySpec`.  The legacy
-    #: one-string spelling ``"<policy>;<quantum>;<tenant-text>"`` is
-    #: still accepted (parsed through :meth:`TenancySpec.parse` with a
-    #: ``DeprecationWarning``) and hashes to the same cache key.
+    #: typed :class:`~repro.runtime.tenancy.TenancySpec`.
     tenancy: Optional[TenancySpec] = None
     #: Collect an Observer (spans/events/decisions/metrics) in the
     #: worker and return it for merging into the parent's.
@@ -332,28 +332,13 @@ class RunSpec:
         if self.kind == KIND_CHAR_SWEEP and (
                 self.microbench is None or self.sweep_step <= 0.0):
             raise HarnessError("char-sweep spec needs a microbench and step")
-        if isinstance(self.tenancy, str):
-            # Legacy stringly-typed spelling: parse into the typed
-            # spec (same cache key, one deprecation warning).
-            if self.tenancy:
-                warn_once(
-                    "engine.RunSpec.tenancy-string",
-                    "passing RunSpec.tenancy as a 'policy;quantum;tenants' "
-                    "string is deprecated; build a typed TenancySpec "
-                    "(repro.runtime.tenancy.TenancySpec) instead")
-                try:
-                    parsed = TenancySpec.parse(self.tenancy)
-                except SchedulingError as exc:
-                    raise HarnessError(
-                        f"multiprogram spec needs tenancy="
-                        f"'policy;quantum;tenants': {exc}") from exc
-                object.__setattr__(self, "tenancy", parsed)
-            else:
-                object.__setattr__(self, "tenancy", None)
-        if self.kind == KIND_MULTIPROGRAM and self.tenancy is None:
+        if self.tenancy is not None and not isinstance(self.tenancy,
+                                                       TenancySpec):
             raise HarnessError(
-                "multiprogram spec needs a TenancySpec "
-                "(legacy 'policy;quantum;tenants' strings still parse)")
+                f"tenancy must be a TenancySpec, got "
+                f"{type(self.tenancy).__name__}")
+        if self.kind == KIND_MULTIPROGRAM and self.tenancy is None:
+            raise HarnessError("multiprogram spec needs a TenancySpec")
 
     def param(self, name: str, default: float = 0.0) -> float:
         return dict(self.params).get(name, default)
@@ -890,19 +875,31 @@ class ExecutionEngine:
     def _teardown_pool(pool: ProcessPoolExecutor, futures: List) -> None:
         for future in futures:
             future.cancel()
-        # _processes is private but stable across CPython 3.9-3.13;
-        # it is the only handle on workers mid-task.
+        # _processes and _executor_manager_thread are private but stable
+        # across CPython 3.9-3.13; they are the only handles on workers
+        # mid-task and on the thread that reaps them.
         processes = list((getattr(pool, "_processes", None) or {}).values())
+        manager = getattr(pool, "_executor_manager_thread", None)
         pool.shutdown(wait=False, cancel_futures=True)
         for process in processes:
-            if process.is_alive():
-                process.terminate()
+            process.terminate()
+        # Wait on sentinels, not waitpid: the manager thread reaps these
+        # same children, and a second waitpid caller loses with ECHILD,
+        # which multiprocessing reports as "still running".
+        pending = {process.sentinel: process for process in processes}
         deadline = time.monotonic() + 5.0
+        while pending and time.monotonic() < deadline:
+            for sentinel in wait_for_ready(
+                    list(pending), timeout=deadline - time.monotonic()):
+                del pending[sentinel]
+        for process in pending.values():
+            process.kill()
+        if manager is not None:
+            manager.join(timeout=5.0)
+        # With the manager gone this thread is the only reaper left, so
+        # the joins settle every returncode.
         for process in processes:
-            process.join(timeout=max(0.0, deadline - time.monotonic()))
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=1.0)
+            process.join(timeout=1.0)
 
     def _characterization_payload(self,
                                   specs: List[RunSpec]) -> Dict[str, str]:

@@ -113,14 +113,9 @@ class TenantSpec:
 class TenancySpec:
     """Typed, frozen description of one multiprogram co-scheduling cell.
 
-    Replaces the stringly-typed ``RunSpec.tenancy`` field
-    (``"policy;quantum;tenants"``): the arbitration policy, the lease
-    quantum, and the tenant roster are real fields, validated at
-    construction, hashable, and picklable - so the spec participates
-    in engine cache keys through :meth:`canonical_dict` instead of an
-    opaque string.  :meth:`parse` accepts the legacy spelling (the
-    ``RunSpec`` shim routes old strings through it with a
-    ``DeprecationWarning``).
+    The arbitration policy, the lease quantum, and the tenant roster,
+    validated at construction, hashable, and picklable - the spec
+    participates in engine cache keys through :meth:`canonical_dict`.
     """
 
     #: Arbitration policy: one of :data:`ARBITER_POLICIES`.
@@ -147,28 +142,9 @@ class TenancySpec:
                     f"tenants must be TenantSpec instances, got "
                     f"{type(tenant).__name__}")
 
-    @classmethod
-    def parse(cls, text: str) -> "TenancySpec":
-        """Parse the legacy ``"policy;quantum;tenant-text"`` spelling."""
-        parts = text.split(";", 2)
-        if len(parts) != 3:
-            raise SchedulingError(
-                f"bad tenancy string {text!r}; expected "
-                "'policy;quantum;tenants' (e.g. 'fifo;2;BS,CC:5')")
-        policy, quantum_text, tenant_text = parts
-        try:
-            quantum = int(quantum_text)
-        except ValueError as exc:
-            raise SchedulingError(
-                f"bad lease quantum {quantum_text!r} in tenancy string "
-                f"{text!r}") from exc
-        return cls(policy=policy, lease_quantum=quantum,
-                   tenants=parse_tenant_specs(tenant_text))
-
     @property
     def tenant_text(self) -> str:
-        """The roster in ``--tenants`` syntax (for display and the
-        legacy spelling)."""
+        """The roster in ``--tenants`` syntax (for display)."""
         entries = []
         for tenant in self.tenants:
             entry = tenant.workload
@@ -179,17 +155,8 @@ class TenancySpec:
             entries.append(entry)
         return ",".join(entries)
 
-    def legacy_text(self) -> str:
-        """The deprecated one-string spelling this spec replaces."""
-        return f"{self.policy};{self.lease_quantum};{self.tenant_text}"
-
     def canonical_dict(self) -> dict:
-        """Canonical JSON-ready form for engine cache keys.
-
-        Deliberately identical to what :meth:`parse` of the equivalent
-        legacy string produces, so migrating a call site does not
-        invalidate its cache entries.
-        """
+        """Canonical JSON-ready form for engine cache keys."""
         return {
             "policy": self.policy,
             "lease_quantum": int(self.lease_quantum),

@@ -1,16 +1,17 @@
-"""``python -m repro.service``: serve / submit / status / cancel / drain.
+"""Service subcommands of ``python -m repro``: serve / submit / status /
+cancel / drain.
 
 Examples::
 
-    python -m repro.service serve  --db /tmp/eas.db --cache-dir /tmp/eas-cache
-    python -m repro.service submit --db /tmp/eas.db --workload CC --scheduler eas
-    python -m repro.service submit --db /tmp/eas.db --workload BS \\
+    python -m repro serve  --db /tmp/eas.db --cache-dir /tmp/eas-cache
+    python -m repro submit --db /tmp/eas.db --workload CC --scheduler eas
+    python -m repro submit --db /tmp/eas.db --workload BS \\
         --platform tablet --priority 5 --tenant interactive
-    python -m repro.service status --db /tmp/eas.db
-    python -m repro.service status --db /tmp/eas.db --json
-    python -m repro.service status --db /tmp/eas.db --fingerprint
-    python -m repro.service cancel --db /tmp/eas.db --job 3
-    python -m repro.service drain  --db /tmp/eas.db
+    python -m repro status --db /tmp/eas.db
+    python -m repro status --db /tmp/eas.db --json
+    python -m repro status --db /tmp/eas.db --fingerprint
+    python -m repro cancel --db /tmp/eas.db --job 3
+    python -m repro drain  --db /tmp/eas.db
 
 ``serve`` runs the claim loop in the foreground until drained
 (``--until-idle`` exits once the queue is empty - the batch/CI mode).
@@ -52,7 +53,7 @@ def _add_db(parser: argparse.ArgumentParser) -> None:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.service",
+        prog="python -m repro",
         description="crash-safe persistent scheduler service")
     sub = parser.add_subparsers(dest="command", required=True)
 

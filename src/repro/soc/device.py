@@ -225,15 +225,3 @@ def compute_rates_batch(spec: PlatformSpec, cost: KernelCostModel,
         cpu_traffic_bytes_per_s=cpu_rate * cpu_bytes_per_item,
         gpu_traffic_bytes_per_s=gpu_rate * gpu_bytes_per_item,
     )
-
-
-def span_items(items_per_s: "np.ndarray", dts: "np.ndarray") -> float:
-    """Items retired over a whole tick span: ``sum_i rate[i] * dts[i]``.
-
-    The span twin of the scalar loop's per-tick ``consume(rate * dt)``
-    capacity accumulation.  One dot product; agrees with the per-tick
-    running sum to float-summation-order error, inside the
-    bounded-mode tolerance contract (the only consumer).
-    """
-    return float(np.dot(np.asarray(items_per_s, dtype=float),
-                        np.asarray(dts, dtype=float)))

@@ -113,19 +113,6 @@ def package_power_batch(spec: PlatformSpec, rates: DeviceRates,
                           uncore_w=uncore_w, idle_w=spec.idle_power_w)
 
 
-def span_energy_j(package_w: "np.ndarray", dts: "np.ndarray") -> float:
-    """Energy of a whole tick span: ``sum_i package_w[i] * dts[i]``.
-
-    The span twin of per-tick ``msr.deposit(package_w * dt)``
-    accumulation.  Evaluated as one dot product, it agrees with the
-    scalar per-tick running sum to float-summation-order error (below
-    1e-9 relative for any realistic span) - inside the bounded-mode
-    tolerance contract, which is the only mode that uses it.
-    """
-    return float(np.dot(np.asarray(package_w, dtype=float),
-                        np.asarray(dts, dtype=float)))
-
-
 def idle_power(spec: PlatformSpec) -> PowerBreakdown:
     """Package power when both devices are idle."""
     return PowerBreakdown(cpu_w=0.0, gpu_w=0.0,

@@ -38,7 +38,6 @@ divergence on end-to-end time/energy/items below 1e-6 relative.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -72,73 +71,10 @@ _BATCH_MAX_TICKS = 4096
 #: calls); fall back to the scalar tick path, which memoizes instead.
 _BATCH_MIN_TICKS = 16
 
-#: Phase-memo probes allowed before a processor that has never scored a
-#: replay hit concludes its workload defeats the memo and disarms it.
-_PHASE_MEMO_PROBE_BUDGET = 512
-
 #: Entry cap for the fast-mode model memo (see ``_rates_cached``);
 #: cleared wholesale when exceeded, which in practice never happens
 #: inside one application run.
 _MEMO_MAX_ENTRIES = 262144
-
-#: Entry cap for the bounded-mode phase-replay memo.
-_PHASE_MEMO_MAX_ENTRIES = 65536
-
-#: Replay hits a phase-memo entry may serve before it is refreshed:
-#: the Nth hit evicts the entry and executes the phase for real, and
-#: ``_phase_learn`` re-anchors it at the live pre-state.  Without this,
-#: a trajectory ramping slowly *within* one key bucket (the desktop
-#: PCU never settles, so its pre-states drift monotonically) replays
-#: an outcome pinned at the bucket's first-seen state, and the bias
-#: adds coherently across replays - measured at ~1.5e-6 relative after
-#: 95 replays on the desktop 2-tenant grid, breaching the 1e-6
-#: bounded-tolerance contract.  Refreshing every 8th hit keeps seven
-#: eighths of the replay savings while cutting the coherent window an
-#: order of magnitude.
-_PHASE_REFRESH_INTERVAL = 8
-
-#: Low-mantissa mask used to quantize floats in phase-memo keys: the
-#: bottom 21 of the 52 mantissa bits are dropped, conflating states
-#: within ~5e-10 relative - far inside the 1e-6 bounded tolerance, far
-#: outside accumulated float noise between repeated identical phases.
-_QUANT_MASK = ~0x1FFFFF
-
-
-def _q(x: float) -> int:
-    """Quantized key form of ``x`` (see ``_QUANT_MASK``)."""
-    return struct.unpack("<Q", struct.pack("<d", x))[0] & _QUANT_MASK
-
-
-@dataclass(frozen=True)
-class _PhaseEntry:
-    """Memoized outcome of one bounded-mode phase (see ``_phase_key``).
-
-    Everything a phase does to the processor, expressed relative to the
-    phase start so it can be replayed from any clock time: linear
-    counter increments, one energy deposit, region position deltas, and
-    the absolute PCU/power end state (``gpu_active_offset`` is the
-    phase-end clock minus ``last_gpu_active_t``, or None for never).
-    """
-
-    duration_s: float
-    energy_j: float
-    d_instructions: float
-    d_loadstores: float
-    d_l3_misses: float
-    d_cpu_items: float
-    d_gpu_items: float
-    d_gpu_busy_s: float
-    cpu_pos_delta: float
-    gpu_pos_delta: float
-    gpu_time_s: float
-    gpu_busy_time_s: float
-    end_cpu_freq_hz: float
-    end_gpu_freq_hz: float
-    end_cap_throttle_hz: float
-    end_gpu_was_active: bool
-    end_throttle_recovery: bool
-    gpu_active_offset: Optional[float]
-    end_package_w: float
 
 
 @dataclass
@@ -189,13 +125,10 @@ class IntegratedProcessor:
         self.counters = PerfCounters()
         self.trace = PowerTrace(enabled=trace_enabled)
         self.observer = resolve(observer)
-        self._fast = spec.tick_mode in ("fast", "bounded")
-        self._bounded = spec.tick_mode == "bounded"
-        self._cap_w = spec.pcu.package_cap_w
+        self._fast = spec.tick_mode == "fast"
         self._last_package_w = idle_power(spec).package_w
         self._last_phase_ticks = 0
         self._last_phase_macro_steps = 0
-        self._last_phase_replayed = False
         self._event_sources: List[object] = []
         # Fast-mode model memo: many-launch workloads replay virtually
         # identical launch/ramp transients thousands of times, so the
@@ -210,20 +143,6 @@ class IntegratedProcessor:
         else:
             self._rates_memo = {}
             self._power_memo = {}
-        # Bounded-mode phase-replay memo: whole-phase outcomes keyed on
-        # quantized pre-state (never shared across processors - replay
-        # order would otherwise leak between ganged runs).
-        self._phase_memo: dict = {}
-        self._phase_entry_hits: dict = {}
-        self._phase_armed = False
-        # Adaptive cutoff: workloads whose phase pre-states never recur
-        # (e.g. an irregular profile feeding every launch a different
-        # item count under a slowly ramping clock) pay key-construction
-        # rent on every phase and never collect.  After a probe budget
-        # with zero hits the memo turns itself off for this processor.
-        self._phase_probes = 0
-        self._phase_hits = 0
-        self._phase_memo_live = True
 
     # -- software-visible interface (what schedulers may use) -------------------
 
@@ -336,8 +255,6 @@ class IntegratedProcessor:
         obs.inc("soc.phases")
         obs.inc("soc.ticks", self._last_phase_ticks)
         obs.inc("soc.macro_steps", self._last_phase_macro_steps)
-        if self._last_phase_replayed:
-            obs.inc("soc.phase_replays")
         obs.observe("soc.phase_ticks", self._last_phase_ticks)
         obs.observe("soc.phase_s", result.duration_s)
         obs.set_gauge("soc.msr_wraps", self.msr.wrap_count)
@@ -356,27 +273,9 @@ class IntegratedProcessor:
         if request.stop_when_gpu_done and not gpu_present:
             raise SimulationError("stop_when_gpu_done requires a GPU region")
 
-        # Bounded-mode phase replay: many-launch workloads re-execute
-        # the same phase from (quantized-)identical pre-state thousands
-        # of times; replaying the memoized outcome skips the tick loop
-        # entirely.  Disabled whenever per-tick fidelity is observable
-        # (tracing) or the timeline is externally perturbed (events).
-        self._last_phase_replayed = False
-        memo_key = None
-        if (self._bounded and self._phase_memo_live
-                and not self.trace.enabled
-                and not self._event_sources):
-            memo_key = self._phase_key(request, cpu_region, gpu_region)
-            entry = self._phase_lookup(memo_key)
-            if entry is not None:
-                return self._phase_replay(entry, cpu_region, gpu_region)
-        self._phase_armed = self.pcu.state.cap_throttle_hz > 0.0
-
         start_t = self.now
         start_counters = self.snapshot_counters()
         start_energy = self.msr.lifetime_joules
-        memo_cpu_pos = cpu_region._pos if cpu_region is not None else 0.0
-        memo_gpu_pos = gpu_region._pos if gpu_region is not None else 0.0
 
         launch_remaining = spec.gpu.kernel_launch_overhead_s if gpu_present else 0.0
         gpu_dispatch_items = gpu_region.items_remaining if gpu_present else 0.0
@@ -618,7 +517,7 @@ class IntegratedProcessor:
         # read idle, whatever the final tick happened to be doing.
         self.counters.account_gpu_busy(False, 0.0)
         end_counters = self.snapshot_counters()
-        result = PhaseResult(
+        return PhaseResult(
             start_t=start_t,
             end_t=self.now,
             cpu_items=end_counters.cpu_items - start_counters.cpu_items,
@@ -628,11 +527,6 @@ class IntegratedProcessor:
             counters=start_counters.delta(end_counters),
             energy_j=self.msr.lifetime_joules - start_energy,
         )
-        if memo_key is not None:
-            self._phase_learn(memo_key, start_t, result,
-                              memo_cpu_pos, memo_gpu_pos,
-                              cpu_region, gpu_region)
-        return result
 
     # -- internals ---------------------------------------------------------------
 
@@ -679,201 +573,6 @@ class IntegratedProcessor:
                 self._power_memo.clear()
             self._power_memo[key] = breakdown
         return breakdown
-
-    # -- bounded-mode phase replay ----------------------------------------------
-
-    @staticmethod
-    def _region_sig(region: Optional[WorkRegion]):
-        """Key fragment capturing everything a phase reads of a region.
-
-        A uniform cost profile makes behaviour a function of the
-        remaining item count alone; an irregular profile additionally
-        depends on *where* in the iteration space the slice sits.
-        Kernel cost models (and hence profiles) are keyed by name in
-        the enclosing phase key, exactly as in ``_rates_cached``.
-        """
-        if region is None or region.items_remaining <= _DONE_EPS:
-            return None
-        if region.profile._uniform:
-            return ("u", _q(region.items_remaining))
-        return ("i", _q(region.n_total), _q(region._pos),
-                _q(region.stop_item))
-
-    def _phase_key(self, request: PhaseRequest,
-                   cpu_region: Optional[WorkRegion],
-                   gpu_region: Optional[WorkRegion]):
-        """Quantized pre-state fingerprint of a phase.
-
-        Two phases with equal keys evolve identically to within the
-        bounded tolerance: the key carries every input the tick loop
-        reads - request shape, region slices, PCU controller state,
-        and the power-feedback signal.  Wall-clock enters only through
-        the GPU idle gap, bucketed to behaviour-equivalence: any gap
-        past the cold threshold acts exactly like any other ("cold"),
-        a never-active GPU is its own bucket, and warm gaps keep their
-        (quantized) value because both the idle-release instant and
-        the cold check at the next activation depend on it.
-        """
-        st = self.pcu.state
-        pcu_spec = self.spec.pcu
-        if st.last_gpu_active_t == float("-inf"):
-            gap_key = "never"
-        else:
-            gap = self.now - st.last_gpu_active_t
-            gap_key = ("cold" if gap >= pcu_spec.gpu_cold_threshold_s
-                       else _q(gap))
-        return (
-            request.cost.name,
-            request.stop_when_gpu_done,
-            _q(request.max_duration_s),
-            self._region_sig(cpu_region),
-            self._region_sig(gpu_region),
-            _q(st.cpu_freq_hz),
-            _q(st.gpu_freq_hz),
-            _q(st.cap_throttle_hz),
-            self.pcu._gpu_was_active,
-            self.pcu._throttle_recovery,
-            _q(self.pcu.power_hint),
-            gap_key,
-            _q(self._last_package_w),
-        )
-
-    def _grid_key(self, t: float):
-        """Phase of ``t`` on the PCU's absolute sampling grid."""
-        return _q(t % self.spec.pcu.sample_interval_s)
-
-    def _phase_lookup(self, memo_key) -> Optional[_PhaseEntry]:
-        """Two-level lookup: grid-insensitive entries (phases that
-        never armed cap feedback) match at any clock time; armed
-        entries additionally require the same sampling-grid phase,
-        because cap feedback fires on the absolute time grid."""
-        self._phase_probes += 1
-        if (self._phase_probes >= _PHASE_MEMO_PROBE_BUDGET
-                and self._phase_hits == 0):
-            # Nothing ever recurred: stop keying (and learning) on this
-            # processor - see the adaptive-cutoff note in __init__.
-            self._phase_memo_live = False
-            self._phase_memo.clear()
-            self._phase_entry_hits.clear()
-            return None
-        inner = self._phase_memo.get(memo_key)
-        if inner is None:
-            return None
-        slot = None
-        entry = inner.get(slot)
-        if entry is None:
-            slot = self._grid_key(self.now)
-            entry = inner.get(slot)
-        if entry is None:
-            return None
-        self._phase_hits += 1
-        counter_key = (memo_key, slot)
-        hits = self._phase_entry_hits.get(counter_key, 0) + 1
-        if hits >= _PHASE_REFRESH_INTERVAL:
-            # Refresh: evict and miss on purpose so the fresh execution
-            # re-learns the entry anchored at the current pre-state
-            # (see _PHASE_REFRESH_INTERVAL).
-            del inner[slot]
-            if not inner:
-                del self._phase_memo[memo_key]
-            self._phase_entry_hits.pop(counter_key, None)
-            return None
-        self._phase_entry_hits[counter_key] = hits
-        return entry
-
-    def _phase_learn(self, memo_key, start_t: float, result: PhaseResult,
-                     cpu_pos0: float, gpu_pos0: float,
-                     cpu_region: Optional[WorkRegion],
-                     gpu_region: Optional[WorkRegion]) -> None:
-        st = self.pcu.state
-        delta = result.counters
-        offset = (None if st.last_gpu_active_t == float("-inf")
-                  else self.now - st.last_gpu_active_t)
-        entry = _PhaseEntry(
-            duration_s=result.duration_s,
-            energy_j=result.energy_j,
-            d_instructions=delta.instructions_retired,
-            d_loadstores=delta.loadstore_instructions,
-            d_l3_misses=delta.l3_misses,
-            d_cpu_items=delta.cpu_items,
-            d_gpu_items=delta.gpu_items,
-            d_gpu_busy_s=delta.gpu_busy_time_s,
-            cpu_pos_delta=(cpu_region._pos - cpu_pos0
-                           if cpu_region is not None else 0.0),
-            gpu_pos_delta=(gpu_region._pos - gpu_pos0
-                           if gpu_region is not None else 0.0),
-            gpu_time_s=result.gpu_time_s,
-            gpu_busy_time_s=result.gpu_busy_time_s,
-            end_cpu_freq_hz=st.cpu_freq_hz,
-            end_gpu_freq_hz=st.gpu_freq_hz,
-            end_cap_throttle_hz=st.cap_throttle_hz,
-            end_gpu_was_active=self.pcu._gpu_was_active,
-            end_throttle_recovery=self.pcu._throttle_recovery,
-            gpu_active_offset=offset,
-            end_package_w=self._last_package_w,
-        )
-        if len(self._phase_memo) >= _PHASE_MEMO_MAX_ENTRIES:
-            self._phase_memo.clear()
-            self._phase_entry_hits.clear()
-        inner = self._phase_memo.setdefault(memo_key, {})
-        inner[self._grid_key(start_t) if self._phase_armed else None] = entry
-
-    def _phase_replay(self, entry: _PhaseEntry,
-                      cpu_region: Optional[WorkRegion],
-                      gpu_region: Optional[WorkRegion]) -> PhaseResult:
-        """Apply a memoized phase outcome at the current clock.
-
-        Every effect is either linear (counters, energy, region
-        positions - replayed as deltas) or absolute controller state
-        (replayed verbatim, with ``last_gpu_active_t`` re-anchored to
-        the new phase end).  Replay *snaps onto* the memoized
-        trajectory, so error does not accumulate across repeats: the
-        divergence from a fresh run stays at key-quantization scale,
-        orders of magnitude inside the bounded tolerance.
-        """
-        start_t = self.now
-        end_t = start_t + entry.duration_s
-        start_counters = self.snapshot_counters()
-        c = self.counters
-        c.instructions_retired += entry.d_instructions
-        c.loadstore_instructions += entry.d_loadstores
-        c.l3_misses += entry.d_l3_misses
-        c.cpu_items += entry.d_cpu_items
-        c.gpu_items += entry.d_gpu_items
-        c.gpu_busy_time_s += entry.d_gpu_busy_s
-        c._gpu_busy = False
-        self.msr.deposit(entry.energy_j)
-        if cpu_region is not None and entry.cpu_pos_delta:
-            cpu_region._pos = min(cpu_region.stop_item,
-                                  cpu_region._pos + entry.cpu_pos_delta)
-        if gpu_region is not None and entry.gpu_pos_delta:
-            gpu_region._pos = min(gpu_region.stop_item,
-                                  gpu_region._pos + entry.gpu_pos_delta)
-        st = self.pcu.state
-        st.cpu_freq_hz = entry.end_cpu_freq_hz
-        st.gpu_freq_hz = entry.end_gpu_freq_hz
-        st.cap_throttle_hz = entry.end_cap_throttle_hz
-        st.last_gpu_active_t = (float("-inf")
-                                if entry.gpu_active_offset is None
-                                else end_t - entry.gpu_active_offset)
-        self.pcu._gpu_was_active = entry.end_gpu_was_active
-        self.pcu._throttle_recovery = entry.end_throttle_recovery
-        self._last_package_w = entry.end_package_w
-        self.now = end_t
-        self._last_phase_ticks = 0
-        self._last_phase_macro_steps = 0
-        self._last_phase_replayed = True
-        end_counters = self.snapshot_counters()
-        return PhaseResult(
-            start_t=start_t,
-            end_t=end_t,
-            cpu_items=entry.d_cpu_items,
-            gpu_items=entry.d_gpu_items,
-            gpu_time_s=entry.gpu_time_s,
-            gpu_busy_time_s=entry.gpu_busy_time_s,
-            counters=start_counters.delta(end_counters),
-            energy_j=entry.energy_j,
-        )
 
     def _transient_batch(self, cost: KernelCostModel,
                          cpu_region: Optional[WorkRegion],
@@ -1066,8 +765,6 @@ class IntegratedProcessor:
             n_commit = min(n_commit, int(over[0]) + 1)
         if n_commit < _BATCH_MIN_TICKS:
             return None
-        if over.size and int(over[0]) < n_commit:
-            self._phase_armed = True
 
         k = n_commit - 1
         span_busy = 0.0
@@ -1113,8 +810,6 @@ class IntegratedProcessor:
                       gpu_w: float, uncore_w: float, gpu_active: bool) -> None:
         self.msr.deposit(package_w * dt)
         self._last_package_w = package_w
-        if package_w > self._cap_w:
-            self._phase_armed = True
         st = self.pcu.state
         self.trace.append(TraceSample(
             t=self.now, dt=dt, package_w=package_w, cpu_w=cpu_w, gpu_w=gpu_w,

@@ -22,13 +22,11 @@ tablet, ~1.5 W CPU-alone / ~2 W GPU-alone compute-bound and ~0.7 W /
 from __future__ import annotations
 
 import dataclasses
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro._compat import warn_once
 from repro.errors import SpecError
 from repro.units import gb_per_s, ghz, ms
 
@@ -51,100 +49,18 @@ def _pow(base, exponent: float):
 #:
 #: * ``"exact"`` - the reference mode: tick-by-tick execution (with the
 #:   adaptive stretch for quiet spans).  Required wherever byte-stable
-#:   fingerprints or calibration matter.
+#:   fingerprints or calibration matter.  The factories' default.
 #: * ``"fast"`` - additionally fast-forwards *settled* spans (PCU at
 #:   target, no throttle, no pending event) in closed-form macro-steps.
 #:   End-to-end time/energy/items agree with exact mode to < 1e-6
 #:   relative; traces are decimated, not per-tick.
-#: * ``"bounded"`` - everything ``fast`` does, plus phase-outcome
-#:   replay and span-vectorized commits that are *not* bit-identical
-#:   per tick.  End-to-end observables are held to the explicit
-#:   tolerance contract ``PlatformSpec.bounded_tol``
-#:   (``|bounded - exact| <= tol * max(1, |exact|)``), enforced by the
-#:   differential sweep in ``tests/soc/test_differential_modes.py``.
-#:   The mode of choice for wide sweeps/chaos/fleet fan-outs where
-#:   byte-stability is not required.
-TICK_MODES = ("exact", "fast", "bounded")
-
-#: Fallback mode used when a factory is called without an explicit
-#: ``tick_mode``.  Only the DEPRECATED global shims below ever change
-#: it; new code passes ``tick_mode=`` to the factories (or uses
-#: :meth:`PlatformSpec.with_tick_mode`) and never touches this.
-_default_tick_mode = "exact"
-
-
-def _validated_tick_mode(mode: str) -> str:
-    if mode not in TICK_MODES:
-        raise SpecError(f"tick mode {mode!r} not in {TICK_MODES}")
-    return mode
+TICK_MODES = ("exact", "fast")
 
 
 def _resolve_tick_mode(mode: Optional[str]) -> str:
-    """Factory helper: explicit mode wins; None falls back to the
-    (legacy) process default."""
-    if mode is None:
-        return _default_tick_mode
-    return _validated_tick_mode(mode)
-
-
-def default_tick_mode() -> str:
-    """The tick mode factories fall back to.
-
-    .. deprecated:: 1.2
-       The process-global default is being retired; pass ``tick_mode=``
-       to the platform factories instead (docs/FLEET.md, "Migrating").
-    """
-    warn_once(
-        "soc.default_tick_mode",
-        "default_tick_mode() is deprecated; pass tick_mode= to the "
-        "platform factories (haswell_desktop(tick_mode='fast')) instead")
-    return _default_tick_mode
-
-
-def set_default_tick_mode(mode: str) -> str:
-    """Set the factory default tick mode; returns the previous one.
-
-    .. deprecated:: 1.2
-       Mutable process-global state: a library call (or another
-       thread) observing the default mid-flight gets whatever mode the
-       last caller left behind.  Pass ``tick_mode=`` explicitly to
-       :func:`haswell_desktop`, :func:`ultrabook_15w` and
-       :func:`baytrail_tablet`, or rebuild an existing spec with
-       :meth:`PlatformSpec.with_tick_mode`.
-    """
-    warn_once(
-        "soc.set_default_tick_mode",
-        "set_default_tick_mode() is deprecated; pass tick_mode= to the "
-        "platform factories (haswell_desktop(tick_mode='fast')) or use "
-        "PlatformSpec.with_tick_mode() instead")
-    return _set_default_tick_mode(mode)
-
-
-def _set_default_tick_mode(mode: str) -> str:
-    global _default_tick_mode
-    previous = _default_tick_mode
-    _default_tick_mode = _validated_tick_mode(mode)
-    return previous
-
-
-@contextmanager
-def use_tick_mode(mode: str) -> Iterator[None]:
-    """Scoped :func:`set_default_tick_mode`.
-
-    .. deprecated:: 1.2
-       Same global-state problem in context-manager clothing; kept as
-       a shim so existing scripts run (with one DeprecationWarning).
-       Pass ``tick_mode=`` to the factories instead.
-    """
-    warn_once(
-        "soc.use_tick_mode",
-        "use_tick_mode() is deprecated; pass tick_mode= to the platform "
-        "factories (haswell_desktop(tick_mode='fast')) instead")
-    previous = _set_default_tick_mode(mode)
-    try:
-        yield
-    finally:
-        _set_default_tick_mode(previous)
+    """Factory helper: None means exact (:class:`PlatformSpec` validates
+    anything else)."""
+    return "exact" if mode is None else mode
 
 
 @dataclass(frozen=True)
@@ -326,13 +242,6 @@ class PlatformSpec:
     #: so it flows into :class:`~repro.harness.engine.RunSpec` cache
     #: keys: fast and exact results are never conflated.
     tick_mode: str = field(default="exact")
-    #: Relative error tolerance for ``tick_mode="bounded"``: every
-    #: end-to-end observable O must satisfy
-    #: ``|O_bounded - O_exact| <= bounded_tol * max(1, |O_exact|)``.
-    #: Part of the spec so it flows into engine cache keys - results at
-    #: different tolerances are never conflated.  Ignored by the exact
-    #: and fast modes.
-    bounded_tol: float = field(default=1e-6)
 
     def __post_init__(self) -> None:
         if self.tick_s <= 0:
@@ -344,8 +253,6 @@ class PlatformSpec:
         if self.tick_mode not in TICK_MODES:
             raise SpecError(
                 f"tick_mode {self.tick_mode!r} not in {TICK_MODES}")
-        if self.bounded_tol <= 0:
-            raise SpecError("bounded_tol must be positive")
 
     def with_tick_mode(self, mode: str) -> "PlatformSpec":
         """This spec under another clock mode (validated, frozen copy).
@@ -366,8 +273,8 @@ def haswell_desktop(tick_mode: Optional[str] = None) -> PlatformSpec:
     3.4 GHz 4-core/8-thread Core i7-4770 class CPU with an HD Graphics
     4600 class GPU (20 EUs x 7 threads x SIMD16 = 2240-way), 8 GB RAM.
 
-    ``tick_mode`` selects the simulator clock mode explicitly (one of
-    :data:`TICK_MODES`); None keeps the legacy process default.
+    ``tick_mode`` selects the simulator clock mode (one of
+    :data:`TICK_MODES`); None means ``"exact"``.
     """
     cpu = CpuSpec(
         name="i7-4770-class",

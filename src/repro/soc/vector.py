@@ -1,6 +1,6 @@
 """Cross-run vectorized-core sharing for ganged simulations.
 
-The fast and bounded clock modes memoize the expensive roofline/power
+The fast clock mode memoizes the expensive roofline/power
 model evaluations (``IntegratedProcessor._rates_cached`` /
 ``_power_cached``).  Those memos are keyed on *every* model input and
 their values are bit-identical to fresh evaluation, so two simulations
@@ -16,18 +16,11 @@ ambient :func:`use_vector_core` context; every
 context *adopts* the shared memo dicts for its platform instead of
 starting cold.
 
-Sharing is keyed on the platform spec **ignoring clock mode and
-tolerance**: those fields select *how* the simulator steps, not what
-the models compute, so exact/fast/bounded runs of one platform all hit
-the same entries.  Exact-mode processors never consult the memos at
+Sharing is keyed on the platform spec **ignoring clock mode**: it
+selects *how* the simulator steps, not what the models compute, so
+exact and fast runs of one platform map to the same entries.  Exact-mode processors never consult the memos at
 all (their tick loop calls the models directly), so adoption never
 perturbs byte-stable fingerprints.
-
-Only bit-stable state is ever shared.  The bounded mode's phase-replay
-memo (approximate, tolerance-bearing) deliberately stays per-processor:
-sharing it across gang members would make a run's outcome depend on
-which sibling ran first - a nondeterminism the engine cache could
-never key.
 """
 
 from __future__ import annotations
@@ -50,12 +43,12 @@ __all__ = [
 def model_identity(spec: PlatformSpec) -> PlatformSpec:
     """The spec fields that determine model outputs.
 
-    Clock mode and bounded tolerance select stepping strategy, not
-    model values; normalizing them lets exact/fast/bounded siblings of
-    one platform share entries.  The harness engine gangs
+    The clock mode selects stepping strategy, not model values;
+    normalizing it lets exact/fast siblings of one platform share
+    entries.  The harness engine gangs
     :class:`~repro.harness.engine.RunSpec` batches by this identity.
     """
-    return dataclasses.replace(spec, tick_mode="exact", bounded_tol=1e-6)
+    return dataclasses.replace(spec, tick_mode="exact")
 
 
 class VectorCore:

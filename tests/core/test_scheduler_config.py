@@ -1,18 +1,9 @@
-""":class:`SchedulerConfig` validation and the legacy-kwargs shims."""
-
-import warnings
+""":class:`SchedulerConfig` validation."""
 
 import pytest
 
-from repro.core.metrics import EDP
-from repro.core.scheduler import (
-    EasConfig,
-    EasDecision,
-    EnergyAwareScheduler,
-    SchedulerConfig,
-)
+from repro.core.scheduler import SchedulerConfig
 from repro.errors import SchedulingError
-from repro.obs.records import DecisionRecord
 
 
 class TestValidation:
@@ -46,49 +37,3 @@ class TestValidation:
 
     def test_gpu_profile_size_none_means_platform_default(self):
         assert SchedulerConfig(gpu_profile_size=None).gpu_profile_size is None
-
-
-class TestDeprecationShims:
-    def test_easconfig_warns_but_works(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            config = EasConfig(fault_budget=5)
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        assert isinstance(config, SchedulerConfig)
-        assert config.fault_budget == 5
-
-    def test_scheduler_config_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            SchedulerConfig(fault_budget=5)
-
-    def test_legacy_scheduler_kwargs_fold_into_config(
-            self, desktop_characterization):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            scheduler = EnergyAwareScheduler(
-                desktop_characterization, EDP, fault_budget=7)
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        assert scheduler.config.fault_budget == 7
-
-    def test_unknown_legacy_kwarg_raises_with_field_list(
-            self, desktop_characterization):
-        with pytest.raises(SchedulingError, match="fault_budget"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                EnergyAwareScheduler(desktop_characterization, EDP,
-                                     fault_budgett=7)
-
-    def test_config_and_kwargs_together_rejected(
-            self, desktop_characterization):
-        with pytest.raises(SchedulingError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                EnergyAwareScheduler(desktop_characterization, EDP,
-                                     config=SchedulerConfig(),
-                                     fault_budget=7)
-
-    def test_easdecision_alias(self):
-        assert EasDecision is DecisionRecord

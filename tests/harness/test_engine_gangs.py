@@ -5,7 +5,7 @@ model identity (:func:`repro.soc.vector.model_identity`) that share one
 :class:`~repro.soc.vector.VectorCore` of bit-stable model memos.  These
 tests pin the edge cases: a single-spec batch, refusal to gang mixed
 platforms, interrupt teardown through the ganged pool path, and cache
-keys that distinguish every tick mode and tolerance.
+keys that distinguish every tick mode.
 """
 
 import time
@@ -23,7 +23,7 @@ from repro.harness.engine import (
     execute_gang,
     execute_spec,
 )
-from repro.soc.spec import baytrail_tablet, haswell_desktop
+from repro.soc.spec import TICK_MODES, baytrail_tablet, haswell_desktop
 
 
 def _spec(platform=None, seed=0, alpha=0.5, **kwargs):
@@ -50,13 +50,12 @@ class TestSpecGang:
         assert baytrail_tablet().name in message
 
     def test_mixed_tick_modes_of_one_platform_allowed(self):
-        # Tick mode and tolerance are stepping strategy, not model
-        # identity: exact/fast/bounded siblings gang together.
+        # Tick mode is stepping strategy, not model identity: exact and
+        # fast siblings gang together.
         gang = SpecGang.of([
-            _spec(haswell_desktop(tick_mode=mode))
-            for mode in ("exact", "fast", "bounded")
+            _spec(haswell_desktop(tick_mode=mode)) for mode in TICK_MODES
         ])
-        assert len(gang) == 3
+        assert len(gang) == len(TICK_MODES)
 
     def test_gang_positions_preserve_order(self):
         desktop, tablet = haswell_desktop(), baytrail_tablet()
@@ -122,13 +121,6 @@ class TestCacheKeysAcrossModes:
     def test_tick_modes_hash_distinct(self):
         keys = {
             _spec(haswell_desktop(tick_mode=mode)).cache_key()
-            for mode in ("exact", "fast", "bounded")
+            for mode in TICK_MODES
         }
-        assert len(keys) == 3
-
-    def test_bounded_tol_hashes_distinct(self):
-        import dataclasses
-
-        base = haswell_desktop(tick_mode="bounded")
-        loose = dataclasses.replace(base, bounded_tol=1e-4)
-        assert _spec(base).cache_key() != _spec(loose).cache_key()
+        assert len(keys) == len(TICK_MODES)

@@ -160,9 +160,8 @@ class TestHarnessIntegration:
         with pytest.raises(HarnessError):
             RunSpec(platform=haswell_desktop(), kind=KIND_MULTIPROGRAM,
                     scheduler=SchedulerSpec.eas())
-        # The legacy one-string spelling still fails loudly when
-        # malformed (no silent None).
-        with pytest.raises(HarnessError):
+        # A string is not a TenancySpec: rejected at construction.
+        with pytest.raises(HarnessError, match="TenancySpec"):
             RunSpec(platform=haswell_desktop(), kind=KIND_MULTIPROGRAM,
                     scheduler=SchedulerSpec.eas(), tenancy="fifo")
 

@@ -1,15 +1,10 @@
-"""Property suites for the vectorized model twins and span reducers.
+"""Property suites for the vectorized model twins.
 
-The batched-transient path rests on two claims:
-
-1. **Elementwise bit-identity** - ``compute_rates_batch`` /
-   ``package_power_batch`` reproduce their scalar twins *exactly* per
-   element (same elementary operations in the same order), which is
-   what lets fast mode commit batched spans with byte-stable results.
-2. **Span reduction accuracy** - ``span_items`` / ``span_energy_j``
-   (one dot product over a tick span) agree with the scalar per-tick
-   running sum to float-summation-order error, far inside the
-   bounded-mode tolerance contract.
+The batched-transient path rests on **elementwise bit-identity**:
+``compute_rates_batch`` / ``package_power_batch`` reproduce their
+scalar twins *exactly* per element (same elementary operations in the
+same order), which is what lets fast mode commit batched spans with
+byte-stable results.
 
 Plus the physical sanity the batch path must preserve: positivity,
 stall fractions in [0, 1], and CPU throughput monotone in CPU
@@ -21,17 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.soc.cost_model import KernelCostModel
-from repro.soc.device import DeviceRates, compute_rates, compute_rates_batch, span_items
-from repro.soc.power import package_power, package_power_batch, span_energy_j
+from repro.soc.device import DeviceRates, compute_rates, compute_rates_batch
+from repro.soc.power import package_power, package_power_batch
 from repro.soc.spec import baytrail_tablet, haswell_desktop
 
 _SPECS = {"desktop": haswell_desktop(), "tablet": baytrail_tablet()}
-
-#: Relative agreement required between a span dot product and the
-#: per-tick running sum (the bounded contract allows 1e-6; summation
-#: order only moves the last few bits).
-_SPAN_RTOL = 1e-9
-
 
 def _freqs(spec, n, rng_seed):
     rng = np.random.default_rng(rng_seed)
@@ -120,32 +109,6 @@ def test_power_batch_bit_identical_to_scalar(case):
         # Physical sanity on the batched path: no component negative,
         # package never below the idle floor.
         assert float(pkg[i]) >= spec.idle_power_w > 0.0
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.floats(0.0, 1e9), st.floats(1e-6, 1.0)),
-                min_size=1, max_size=512))
-def test_span_items_matches_running_sum(pairs):
-    rates = np.array([p[0] for p in pairs])
-    dts = np.array([p[1] for p in pairs])
-    running = 0.0
-    for rate, dt in zip(rates, dts):
-        running += rate * dt
-    total = span_items(rates, dts)
-    assert abs(total - running) <= _SPAN_RTOL * max(1.0, abs(running))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.floats(0.0, 500.0), st.floats(1e-6, 1.0)),
-                min_size=1, max_size=512))
-def test_span_energy_matches_running_sum(pairs):
-    watts = np.array([p[0] for p in pairs])
-    dts = np.array([p[1] for p in pairs])
-    running = 0.0
-    for w, dt in zip(watts, dts):
-        running += w * dt
-    total = span_energy_j(watts, dts)
-    assert abs(total - running) <= _SPAN_RTOL * max(1.0, abs(running))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,24 +1,13 @@
-"""Explicit tick-mode plumbing and the deprecated process-global shim."""
-
-import warnings
+"""Explicit tick-mode plumbing: factories, specs, validation."""
 
 import pytest
 
-import repro._compat
 from repro.errors import SpecError
 from repro.soc.spec import (
     TICK_MODES,
     baytrail_tablet,
-    default_tick_mode,
     haswell_desktop,
-    set_default_tick_mode,
-    use_tick_mode,
 )
-
-
-def _reset(*keys: str) -> None:
-    for key in keys:
-        repro._compat._warned_once.discard(key)
 
 
 class TestExplicitParameter:
@@ -41,19 +30,11 @@ class TestExplicitParameter:
             haswell_desktop(tick_mode="warp")
         with pytest.raises(SpecError):
             haswell_desktop().with_tick_mode("warp")
+        with pytest.raises(SpecError):
+            haswell_desktop(tick_mode="bounded")
 
     def test_modes_inventory(self):
-        assert TICK_MODES == ("exact", "fast", "bounded")
-
-    def test_bounded_tol_validated(self):
-        spec = haswell_desktop(tick_mode="bounded")
-        assert spec.bounded_tol == pytest.approx(1e-6)
-        import dataclasses
-
-        with pytest.raises(SpecError):
-            dataclasses.replace(spec, bounded_tol=0.0)
-        with pytest.raises(SpecError):
-            dataclasses.replace(spec, bounded_tol=-1e-9)
+        assert TICK_MODES == ("exact", "fast")
 
 
 class TestNoCrossTestLeakage:
@@ -63,62 +44,10 @@ class TestNoCrossTestLeakage:
     def test_fast_spec_leaves_default_alone(self):
         spec = haswell_desktop(tick_mode="fast")
         assert spec.tick_mode == "fast"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert default_tick_mode() == "exact"
         assert haswell_desktop().tick_mode == "exact"
+        assert baytrail_tablet().tick_mode == "exact"
 
     def test_sibling_specs_independent(self):
         fast = haswell_desktop(tick_mode="fast")
         exact = haswell_desktop(tick_mode="exact")
         assert (fast.tick_mode, exact.tick_mode) == ("fast", "exact")
-
-
-class TestDeprecatedShims:
-    def test_use_tick_mode_still_works_and_warns_once(self):
-        _reset("soc.use_tick_mode")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with use_tick_mode("fast"):
-                assert haswell_desktop().tick_mode == "fast"
-            with use_tick_mode("fast"):
-                pass
-        assert haswell_desktop().tick_mode == "exact"  # restored
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "tick_mode" in str(deprecations[0].message)
-
-    def test_set_default_tick_mode_warns_once(self):
-        _reset("soc.set_default_tick_mode")
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                set_default_tick_mode("fast")
-                set_default_tick_mode("exact")
-            deprecations = [w for w in caught
-                            if issubclass(w.category, DeprecationWarning)]
-            assert len(deprecations) == 1
-        finally:
-            from repro.soc.spec import _set_default_tick_mode
-
-            _set_default_tick_mode("exact")
-
-    def test_default_tick_mode_query_warns_once(self):
-        _reset("soc.default_tick_mode")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert default_tick_mode() in TICK_MODES
-            default_tick_mode()
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-
-    def test_explicit_argument_beats_global_default(self):
-        _reset("soc.use_tick_mode")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with use_tick_mode("fast"):
-                # Explicit always wins over the deprecated global.
-                assert haswell_desktop(
-                    tick_mode="exact").tick_mode == "exact"

@@ -1,4 +1,4 @@
-"""The unified ``python -m repro`` front door and its deprecated aliases."""
+"""The unified ``python -m repro`` front door."""
 
 import subprocess
 import sys
@@ -65,6 +65,13 @@ class TestDispatch:
     def test_status_routes_to_service(self, tmp_path, capsys):
         assert main(["status", "--db", str(tmp_path / "svc.db")]) == 0
 
+    @pytest.mark.parametrize("command", ["all", "status"])
+    def test_subcommand_help_names_front_door(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: python -m repro ")
+
 
 class TestModuleEntrypoints:
     def test_python_m_repro_works(self):
@@ -77,16 +84,8 @@ class TestModuleEntrypoints:
         assert proc.returncode == 2
         assert "serve" in proc.stderr  # did-you-mean
 
-    def test_deprecated_harness_alias_warns_and_works(self):
-        proc = _run_module(["-m", "repro.harness", "--list"])
-        assert proc.returncode == 0
-        assert "fig9" in proc.stdout
-        assert "deprecated" in proc.stderr
-        assert proc.stderr.count("DeprecationWarning") == 1
-
-    def test_deprecated_service_alias_warns_and_works(self, tmp_path):
-        proc = _run_module(["-m", "repro.service", "status",
-                            "--db", str(tmp_path / "svc.db")])
-        assert proc.returncode == 0
-        assert "deprecated" in proc.stderr
-        assert proc.stderr.count("DeprecationWarning") == 1
+    @pytest.mark.parametrize("module", ["repro.harness", "repro.service"])
+    def test_subpackages_are_not_entry_points(self, module):
+        proc = _run_module(["-m", module])
+        assert proc.returncode != 0
+        assert "cannot be directly executed" in proc.stderr

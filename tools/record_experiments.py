@@ -155,7 +155,7 @@ simulator, not the authors' silicon; the reproduction targets are
 shape-level (orderings, approximate factors, crossovers) per DESIGN.md.
 
 Regenerate this file with `python tools/record_experiments.py`, or any
-single experiment with `python -m repro.harness --figure N`.
+single experiment with `python -m repro figure N`.
 """
 
 FOOTER = """

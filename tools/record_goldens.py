@@ -4,8 +4,8 @@ The golden file pins the byte-stable reference semantics of the
 simulator: sha256 fingerprints of EAS suite runs, alpha sweeps, a chaos
 campaign, a small fleet dispatch, and multiprogram co-runs, all under
 ``tick_mode="exact"``.  ``tests/soc/test_golden_regression.py`` fails
-with a readable diff when any entry drifts; the fast/bounded clock
-modes are held to these same references by the differential sweep.
+with a readable diff when any entry drifts; the fast clock mode is
+held to these same references by the differential sweep.
 
 Usage::
 
