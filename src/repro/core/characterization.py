@@ -160,12 +160,12 @@ class PowerCharacterizer:
     def characterize(self, engine=None) -> PlatformCharacterization:
         """Run every sweep and fit every curve.
 
-        With an :class:`~repro.harness.engine.ExecutionEngine` *and* a
-        declarative ``spec``, the per-category alpha sweeps fan out
-        through the engine (parallel and/or memoized); the polynomial
-        fits always happen here, in the calling process.  Sweeps are
-        measurements and measurements are deterministic, so both paths
-        produce bit-identical curves.
+        A characterizer built from a declarative ``spec`` sweeps through
+        an :class:`~repro.harness.engine.ExecutionEngine` (``engine``,
+        else the run's default), parallel and memoized like any spec; a
+        ``processor_factory`` one sweeps inline.  Fits always happen
+        here.  Measurements are deterministic, so both paths produce
+        bit-identical curves.
         """
         spec_name = (self.spec.name if self.spec is not None
                      else self.processor_factory().spec.name)
@@ -181,17 +181,16 @@ class PowerCharacterizer:
         return result
 
     def _sweep_all(self, engine) -> List[List[SweepPoint]]:
-        """All sweeps, through the engine when it would help."""
-        useful = engine is not None and (
-            engine.jobs > 1 or engine.cache is not None)
-        if self.spec is None or not useful:
+        """All sweeps: through the engine when built from a spec."""
+        if self.spec is None:
             return [self.sweep(bench) for bench in self.microbenches]
-        from repro.harness.engine import KIND_CHAR_SWEEP, RunSpec
+        from repro.harness.engine import KIND_CHAR_SWEEP, RunSpec, get_default_engine
 
         specs = [RunSpec(platform=self.spec, kind=KIND_CHAR_SWEEP,
                          workload=bench.category.short_code,
                          sweep_step=self.sweep_step, microbench=bench)
                  for bench in self.microbenches]
+        engine = engine or get_default_engine()
         return [result.payload for result in engine.run_batch(specs)]
 
     def sweep(self, bench: CharacterizationMicrobench) -> List[SweepPoint]:

@@ -112,8 +112,7 @@ def _run_custom(args: argparse.Namespace) -> int:
         if name == "perf":
             return ProfiledPerfScheduler()
         if name == "eas":
-            return EnergyAwareScheduler(
-                get_characterization(spec, cache_dir=args.cache_dir), metric)
+            return EnergyAwareScheduler(get_characterization(spec), metric)
         if name == "race":
             # Race-to-idle banks the same budget the constrained metric
             # carries (--metric edp@2 -> 2 s); unconstrained metrics
@@ -204,8 +203,8 @@ def _run_multiprogram(args: argparse.Namespace,
 
 def _make_cache(args: argparse.Namespace) -> Optional[ResultCache]:
     """Run-result cache per the flags: ``--no-cache`` wins; otherwise
-    ``--cache-dir`` (or ``$REPRO_CACHE_DIR``) roots both the
-    characterization JSON cache and the ``runs/`` memo store."""
+    ``--cache-dir`` (or ``$REPRO_CACHE_DIR``) roots the ``runs/`` memo
+    store, which also holds the characterization sweeps."""
     if args.no_cache:
         return None
     if args.cache_dir:
@@ -254,8 +253,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "cpu, gpu, perf, race, eas "
                              "(default: cpu,gpu,perf,eas)")
     parser.add_argument("--cache-dir", default=None,
-                        help="directory for cached platform "
-                             "characterizations (JSON)")
+                        help="root of the run-result cache "
+                             "(default: $REPRO_CACHE_DIR)")
     parser.add_argument("--seed", type=int, default=2016,
                         help="seed for seeded experiments: the chaos "
                              "campaign and --fault-level injection "

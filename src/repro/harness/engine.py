@@ -20,8 +20,7 @@ Three layers (see docs/PARALLELISM.md):
 * :class:`ResultCache` - a content-addressed on-disk memo store for
   run results, keyed by spec hash.  Entries are checksummed;
   corrupted or truncated files are evicted and recomputed, never
-  trusted.  Rooted at ``$REPRO_CACHE_DIR/runs`` by default, next to
-  the existing characterization JSON cache.
+  trusted.  Rooted at ``$REPRO_CACHE_DIR/runs`` by default.
 * :class:`ExecutionEngine` - executes batches of specs either
   serially in-process (``jobs=1``, the debugging path and the
   equivalence baseline) or through a ``ProcessPoolExecutor``
@@ -59,7 +58,7 @@ from repro.core.baselines import (
     RaceToIdleScheduler,
     StaticAlphaScheduler,
 )
-from repro.core.characterization import CharacterizationMicrobench
+from repro.core.characterization import CharacterizationMicrobench, PlatformCharacterization
 from repro.core.metrics import EnergyMetric, metric_by_name
 from repro.core.scheduler import EnergyAwareScheduler, SchedulerConfig
 from repro.errors import HarnessError
@@ -648,15 +647,17 @@ def _gang_positions(specs: Sequence[RunSpec]) -> List[List[int]]:
     return list(groups.values())
 
 
-def _seed_worker(characterizations: Dict[str, str]) -> None:
-    """Pool initializer: pre-seed platform characterizations so worker
-    processes never redo the (expensive) one-time characterization."""
-    from repro.core.characterization import PlatformCharacterization
-    from repro.harness import suite
+#: What a pool worker is seeded with: a platform and its default-grid fit.
+CharacterizationSeed = Tuple[PlatformSpec, PlatformCharacterization]
 
-    for name, text in characterizations.items():
-        suite._characterization_cache.setdefault(
-            name, PlatformCharacterization.from_json(text))
+
+def _seed_worker(characterizations: List[CharacterizationSeed]) -> None:
+    """Pool initializer: pre-seed platform characterizations so a
+    worker's lookup is always a memo hit and never characterizes."""
+    from repro.harness.suite import remember_characterization
+
+    for platform, characterization in characterizations:
+        remember_characterization(platform, characterization)
 
 
 # -- content-addressed result cache ----------------------------------------------
@@ -901,11 +902,11 @@ class ExecutionEngine:
         for process in processes:
             process.join(timeout=1.0)
 
-    def _characterization_payload(self,
-                                  specs: List[RunSpec]) -> Dict[str, str]:
+    def _characterization_payload(self, specs: List[RunSpec]
+                                  ) -> List[CharacterizationSeed]:
         """Characterize (in the parent, possibly through this very
         engine) every platform the batch's EAS/chaos specs need."""
-        platforms: Dict[str, PlatformSpec] = {}
+        platforms: Dict[PlatformSpec, None] = {}
         for spec in specs:
             needs = (spec.kind in (KIND_CHAOS_CELL, KIND_MULTIPROGRAM,
                                    KIND_FLEET_CELL)
@@ -913,11 +914,11 @@ class ExecutionEngine:
                          and spec.scheduler is not None
                          and spec.scheduler.kind == "eas"))
             if needs:
-                platforms.setdefault(spec.platform.name, spec.platform)
+                platforms[model_identity(spec.platform)] = None
         from repro.harness.suite import get_characterization
 
-        return {name: get_characterization(platform, engine=self).to_json()
-                for name, platform in platforms.items()}
+        return [(platform, get_characterization(platform, engine=self))
+                for platform in platforms]
 
     def _observe_batch(self, obs: Observer, specs: List[RunSpec],
                        results: List[RunResult], executed: int) -> None:

@@ -23,12 +23,15 @@ percent, higher is better, Oracle = 100%), matching Figs. 9-12.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.baselines import ProfiledPerfScheduler, StaticAlphaScheduler
-from repro.core.characterization import PlatformCharacterization, PowerCharacterizer
+from repro.core.characterization import (
+    DEFAULT_SWEEP_STEP,
+    PlatformCharacterization,
+    PowerCharacterizer,
+)
 from repro.core.metrics import EnergyMetric
 from repro.core.scheduler import EnergyAwareScheduler, SchedulerConfig
 from repro.errors import HarnessError
@@ -43,54 +46,48 @@ from repro.harness.engine import (
 )
 from repro.harness.experiment import ApplicationRun, run_application
 from repro.soc.spec import PlatformSpec
+from repro.soc.vector import model_identity
 from repro.workloads.base import Workload
 from repro.workloads.microbench import standard_microbenches
 
 #: The paper's exhaustive-search grid.
 ORACLE_ALPHA_STEP = 0.1
 
-_characterization_cache: Dict[str, PlatformCharacterization] = {}
+#: The in-process characterization memo, keyed on what the fits depend
+#: on: the platform's model identity and the sweep grid.
+_characterization_cache: Dict[Tuple[PlatformSpec, float], PlatformCharacterization] = {}
 
 
-def get_characterization(spec: PlatformSpec, sweep_step: float = 0.05,
-                         cache_dir: Optional[str] = None,
+def remember_characterization(spec: PlatformSpec,
+                              characterization: PlatformCharacterization,
+                              sweep_step: float = DEFAULT_SWEEP_STEP
+                              ) -> PlatformCharacterization:
+    """The memo's single writer; the first fit stored for a key wins
+    (engine-seeded pool workers and the service's stored fits use it)."""
+    return _characterization_cache.setdefault(
+        (model_identity(spec), sweep_step), characterization)
+
+
+def get_characterization(spec: PlatformSpec,
+                         sweep_step: float = DEFAULT_SWEEP_STEP,
                          engine: Optional[ExecutionEngine] = None
                          ) -> PlatformCharacterization:
     """The platform's one-time power characterization.
 
-    Process-cached, and optionally persisted to ``cache_dir`` (or the
-    ``REPRO_CACHE_DIR`` environment variable) as JSON - the paper's
-    characterization is computed once per processor and shipped with
-    the runtime, so the natural deployment is a cached file.  When an
-    ``engine`` is supplied, the per-category alpha sweeps fan out
-    through it (see docs/PARALLELISM.md); results are bit-identical
-    either way.
+    Memoized per process on ``(model_identity(spec), sweep_step)``, so
+    a same-name variant or a different grid gets its own fits.  A miss
+    sweeps through ``engine`` - or the run's default engine - which
+    brings ``--jobs`` and the ``runs/`` result cache to the sweeps
+    exactly as to every other spec (see docs/PARALLELISM.md).
     """
-    cached = _characterization_cache.get(spec.name)
+    cached = _characterization_cache.get((model_identity(spec), sweep_step))
     if cached is not None:
         return cached
-
-    cache_dir = cache_dir or os.environ.get("REPRO_CACHE_DIR")
-    cache_path = None
-    if cache_dir:
-        cache_path = os.path.join(cache_dir,
-                                  f"characterization-{spec.name}.json")
-        if os.path.exists(cache_path):
-            with open(cache_path) as fh:
-                cached = PlatformCharacterization.from_json(fh.read())
-            _characterization_cache[spec.name] = cached
-            return cached
-
     characterizer = PowerCharacterizer(
         microbenches=standard_microbenches(),
         sweep_step=sweep_step, spec=spec)
-    cached = characterizer.characterize(engine=engine)
-    _characterization_cache[spec.name] = cached
-    if cache_path is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        with open(cache_path, "w") as fh:
-            fh.write(cached.to_json())
-    return cached
+    return remember_characterization(
+        spec, characterizer.characterize(engine), sweep_step)
 
 
 def clear_characterization_cache() -> None:

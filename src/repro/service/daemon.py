@@ -409,8 +409,8 @@ class SchedulerService:
 
         text = self.store.load_characterization(platform.name)
         if text is not None:
-            suite._characterization_cache.setdefault(
-                platform.name, PlatformCharacterization.from_json(text))
+            suite.remember_characterization(
+                platform, PlatformCharacterization.from_json(text))
             return text
         characterization = suite.get_characterization(platform)
         text = characterization.to_json()

@@ -1,51 +1,34 @@
-"""Characterization disk cache and trace CSV export."""
+"""Warm characterization from the result cache, and trace CSV export."""
 
-import os
+import dataclasses
 
-import pytest
-
-from repro.harness.suite import clear_characterization_cache, get_characterization
+from repro.core.characterization import PowerCharacterizer
+from repro.harness.engine import ExecutionEngine, ResultCache
+from repro.harness.suite import get_characterization
 from repro.soc.simulator import IntegratedProcessor, PhaseRequest
 from repro.soc.trace import write_csv
 from repro.soc.work import CostProfile, WorkRegion
+from repro.workloads.microbench import standard_microbenches
 
 
-class TestDiskCache:
-    def test_characterization_persisted_and_reloaded(self, desktop, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        clear_characterization_cache()
-        try:
-            first = get_characterization(desktop, cache_dir=cache_dir)
-            path = os.path.join(cache_dir,
-                                f"characterization-{desktop.name}.json")
-            assert os.path.exists(path)
+class TestWarmCharacterization:
+    def test_filled_cache_replaces_sweeps(self, tablet, tmp_path):
+        """A platform the memo has not seen characterizes from a
+        filled ``runs/`` cache: no sweep executes, all eight hit."""
+        spec = dataclasses.replace(tablet, name="warm-cache-tablet")
+        engine = ExecutionEngine(jobs=1,
+                                 cache=ResultCache(str(tmp_path / "runs")))
+        filled = PowerCharacterizer(
+            microbenches=standard_microbenches(), sweep_step=0.1,
+            spec=spec).characterize(engine)
+        assert (engine.cache.writes, engine.cache.hits) == (8, 0)
 
-            # A fresh process would hit the file: simulate by clearing
-            # the in-memory cache and poisoning the file check.
-            clear_characterization_cache()
-            reloaded = get_characterization(desktop, cache_dir=cache_dir)
-            assert reloaded.platform_name == first.platform_name
-            for category, curve in first.curves.items():
-                assert reloaded.curve_for(category).coefficients == \
-                    pytest.approx(curve.coefficients)
-        finally:
-            # Leave the session-scoped in-memory cache repopulated for
-            # other tests.
-            clear_characterization_cache()
-            get_characterization(desktop)
-
-    def test_corrupt_cache_file_raises_cleanly(self, desktop, tmp_path):
-        cache_dir = str(tmp_path)
-        path = os.path.join(cache_dir, f"characterization-{desktop.name}.json")
-        with open(path, "w") as fh:
-            fh.write("{not json")
-        clear_characterization_cache()
-        try:
-            with pytest.raises(Exception):
-                get_characterization(desktop, cache_dir=cache_dir)
-        finally:
-            clear_characterization_cache()
-            get_characterization(desktop)
+        warm = get_characterization(spec, sweep_step=0.1, engine=engine)
+        assert (engine.cache.writes, engine.cache.hits) == (8, 8)
+        assert warm.curves.keys() == filled.curves.keys()
+        for category, curve in filled.curves.items():
+            assert warm.curve_for(category).coefficients == \
+                curve.coefficients
 
 
 class TestTraceCsv:

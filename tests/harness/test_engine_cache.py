@@ -31,6 +31,7 @@ from repro.harness.engine import (
     set_default_engine,
     use_engine,
 )
+from repro.harness.suite import get_characterization
 from repro.soc.spec import baytrail_tablet, haswell_desktop
 
 
@@ -216,6 +217,12 @@ class TestBypass:
         result = engine.run_batch([spec])[0]
         assert result.from_cache is False
         assert not os.path.exists(os.path.join(str(tmp_path), "runs"))
+        # Nor may characterizing a fresh platform under it (the
+        # ``--no-cache`` run's engine) leave anything behind.
+        fresh = dataclasses.replace(baytrail_tablet(), name="no-cache-tablet")
+        with use_engine(engine):
+            get_characterization(fresh, sweep_step=0.1)
+        assert os.listdir(str(tmp_path)) == []
 
     def test_no_cache_ignores_poisoned_entries(self, cache):
         """A cache-less engine cannot be poisoned: plant a wrong entry

@@ -1,10 +1,22 @@
 """Suite evaluation and figure regenerators (cheap pieces only; the
 full Figs. 9-12 runs live in benchmarks/)."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core.metrics import EDP
+from repro.core.categories import category_from_codes
+from repro.core.characterization import PowerCharacterizer
+from repro.core.metrics import EDP, ENERGY
+from repro.core.scheduler import EnergyAwareScheduler
 from repro.errors import HarnessError
+from repro.harness.engine import (
+    ExecutionEngine,
+    ResultCache,
+    RunSpec,
+    SchedulerSpec,
+)
+from repro.harness.experiment import run_application
 from repro.harness.figures import (
     REGENERATORS,
     _measure_classification,
@@ -13,7 +25,32 @@ from repro.harness.figures import (
     regenerate_table_1,
 )
 from repro.harness.suite import evaluate_suite, get_characterization
+from repro.soc.spec import baytrail_tablet
+from repro.workloads.microbench import standard_microbenches
 from repro.workloads.registry import workload_by_abbrev
+
+C_LL = category_from_codes("C-LL")
+
+
+def _idle_variant(spec):
+    """A same-name variant of ``spec`` that idles 1 W higher."""
+    return replace(spec, idle_power_w=spec.idle_power_w + 1.0)
+
+
+@pytest.fixture(scope="module")
+def warm_engine(tmp_path_factory):
+    """A serial engine whose result cache the variant's sweeps fill."""
+    return ExecutionEngine(jobs=1, cache=ResultCache(
+        str(tmp_path_factory.mktemp("runs"))))
+
+
+@pytest.fixture(scope="module")
+def variant_fits(warm_engine):
+    """The idle variant's own characterization, fitted fresh."""
+    characterizer = PowerCharacterizer(
+        microbenches=standard_microbenches(),
+        spec=_idle_variant(baytrail_tablet()))
+    return characterizer.characterize(warm_engine)
 
 
 class TestRegistry:
@@ -33,6 +70,54 @@ class TestCharacterizationCache:
         first = get_characterization(desktop)
         second = get_characterization(desktop)
         assert first is second
+
+    def test_same_name_variant_gets_its_own_fits(
+            self, tablet, tablet_characterization, variant_fits,
+            warm_engine):
+        variant = _idle_variant(tablet)
+        assert variant.name == tablet.name
+        fits = get_characterization(variant, engine=warm_engine)
+        for category, curve in variant_fits.curves.items():
+            assert fits.curve_for(category).coefficients == \
+                curve.coefficients
+        stock_p0 = tablet_characterization.curve_for(C_LL).power(0.0)
+        assert fits.curve_for(C_LL).power(0.0) > stock_p0 + 0.5
+
+    def test_sweep_step_keys_the_memo(self, tablet,
+                                      tablet_characterization):
+        coarse = get_characterization(tablet, sweep_step=0.1)
+        assert coarse is not tablet_characterization
+        for curve in coarse.curves.values():
+            assert curve.sample_alphas == pytest.approx(
+                [i / 10 for i in range(11)])
+        assert get_characterization(tablet, sweep_step=0.1) is coarse
+
+    def test_pooled_eas_on_variant_uses_its_own_fits(
+            self, tablet, tablet_characterization, variant_fits,
+            warm_engine, monkeypatch):
+        variant = _idle_variant(tablet)
+        get_characterization(variant, engine=warm_engine)
+
+        # Every lookup from here on must hit the memo; pool workers
+        # fork with this patch in place, so they may not sweep either.
+        def refuse(self, engine=None):
+            raise AssertionError("re-characterized a memoized platform")
+
+        monkeypatch.setattr(PowerCharacterizer, "characterize", refuse)
+        # Under the energy metric the stock fits pick other splits for
+        # RT and SM than the variant's own fits do.
+        specs = [RunSpec(platform=variant, workload=abbrev,
+                         scheduler=SchedulerSpec.eas(ENERGY), tablet=True)
+                 for abbrev in ("RT", "SM")]
+        serial = ExecutionEngine(jobs=1).run_batch(specs)
+        pooled = ExecutionEngine(jobs=2).run_batch(specs)
+        for spec, one, two in zip(specs, serial, pooled):
+            own = run_application(
+                variant, workload_by_abbrev(spec.workload),
+                EnergyAwareScheduler(variant_fits, ENERGY),
+                strategy_name=spec.scheduler.strategy_name, tablet=True)
+            assert two.payload.canonical() == one.payload.canonical()
+            assert one.payload.canonical() == own.canonical()
 
 
 class TestSuiteEvaluation:

@@ -11,11 +11,16 @@ import time
 import pytest
 
 from repro.errors import ServiceError, WorkloadError
+from repro.harness.suite import (
+    clear_characterization_cache,
+    remember_characterization,
+)
 from repro.obs.observer import Observer
 from repro.service import daemon as daemon_mod
 from repro.service.daemon import SchedulerService
 from repro.service.jobs import AdmissionPolicy, JobSpec
 from repro.service.store import DEAD, DONE, FAILED, PENDING
+from repro.soc.spec import haswell_desktop
 
 
 def _service(tmp_path, **kwargs) -> SchedulerService:
@@ -27,6 +32,14 @@ def _service(tmp_path, **kwargs) -> SchedulerService:
 @pytest.fixture
 def tablet_spec():
     return JobSpec(workload="BS", platform="tablet", tick_mode="fast")
+
+
+@pytest.fixture
+def restore_desktop_fit(desktop_characterization):
+    """Afterwards put the session's desktop fit back in the memo the
+    test clears, so later tests need not characterize it again."""
+    yield
+    remember_characterization(haswell_desktop(), desktop_characterization)
 
 
 class TestEndToEnd:
@@ -215,15 +228,13 @@ class TestReplayAndRecovery:
 
 
 class TestWarmTableFastPath:
-    def test_second_submission_answers_from_table_g(self, tmp_path,
-                                                    tablet_spec):
+    def test_second_submission_answers_from_table_g(
+            self, tmp_path, tablet_spec, restore_desktop_fit):
         """The acceptance property: a previously seen kernel is
         answered from the persisted table G - every decision exits
         through the table, zero profiling rounds, >= 10x faster."""
-        from repro.harness import suite
-
         # Force the cold run to pay the full characterize+profile cost.
-        suite._characterization_cache.pop("baytrail-tablet", None)
+        clear_characterization_cache()
         service = _service(tmp_path)
         try:
             cold = service.submit(tablet_spec)
@@ -237,7 +248,7 @@ class TestWarmTableFastPath:
             service.close()
 
         # A fresh service lifetime: everything must come from the store.
-        suite._characterization_cache.pop("baytrail-tablet", None)
+        clear_characterization_cache()
         warm_service = _service(tmp_path)
         try:
             warm = warm_service.submit(tablet_spec)
