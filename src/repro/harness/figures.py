@@ -36,6 +36,7 @@ from repro.core.metrics import EDP, ENERGY, EnergyMetric
 from repro.errors import UnknownNameError, closest_names
 from repro.harness.chaos import regenerate_chaos
 from repro.harness.crashchaos import regenerate_crash_chaos
+from repro.harness.engine import KIND_MICROBENCH_TIMELINE, RunSpec, get_default_engine
 from repro.harness.report import format_bar_chart, format_series, format_table, heading
 from repro.harness.suite import (
     AlphaSweep,
@@ -206,12 +207,6 @@ class TimelineResult:
 
 def regenerate_figure_2(tick_mode: Optional[str] = None) -> TimelineResult:
     """Memory-bound workload, 90% GPU / 10% CPU, on both platforms."""
-    from repro.harness.engine import (
-        KIND_MICROBENCH_TIMELINE,
-        RunSpec,
-        get_default_engine,
-    )
-
     series: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
     notes: List[str] = []
     # The paper's Fig. 2 application is memory-bound with a GPU that
@@ -247,9 +242,13 @@ def regenerate_figure_3(tick_mode: Optional[str] = None) -> TimelineResult:
     series: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
     notes: List[str] = []
     averages: Dict[str, float] = {}
-    for code, label in (("C-LL", "compute-bound"), ("M-LL", "memory-bound")):
-        n = _items_for_duration(spec, code, 2.5)
-        trace = _run_microbench_partitioned(spec, code, alpha=0.5, n_items=n)
+    cells = (("C-LL", "compute-bound"), ("M-LL", "memory-bound"))
+    results = get_default_engine().run_batch([
+        RunSpec(platform=spec, kind=KIND_MICROBENCH_TIMELINE, workload=code,
+                params=(("alpha", 0.5), ("cpu_seconds", 2.5)))
+        for code, _ in cells])
+    for (_, label), result in zip(cells, results):
+        trace = result.payload
         interval = trace.duration / 60.0
         series[label] = trace.resample(interval)
         averages[label] = trace.average_power_while(True)
@@ -266,10 +265,12 @@ def regenerate_figure_3(tick_mode: Optional[str] = None) -> TimelineResult:
 
 def regenerate_figure_4(tick_mode: Optional[str] = None) -> TimelineResult:
     """Ten short GPU bursts on a memory-bound workload (desktop)."""
-    spec = haswell_desktop(tick_mode=tick_mode)
-    n = _items_for_duration(spec, "M-LL", 0.45)
-    trace = _run_microbench_partitioned(spec, "M-LL", alpha=0.05, n_items=n,
-                                        repetitions=10, gap_s=0.5)
+    [result] = get_default_engine().run_batch([
+        RunSpec(platform=haswell_desktop(tick_mode=tick_mode),
+                kind=KIND_MICROBENCH_TIMELINE, workload="M-LL",
+                params=(("alpha", 0.05), ("cpu_seconds", 0.45),
+                        ("repetitions", 10), ("gap_s", 0.5)))])
+    trace = result.payload
     interval = trace.duration / 120.0
     # Steady CPU-phase power: GPU idle, CPU actually executing (the
     # idle gaps between the ten executions are excluded).
@@ -595,11 +596,7 @@ def regenerate_objectives(tick_mode: Optional[str] = None
     from repro.fleet.trace import TraceSpec
     from repro.core.metrics import ConstrainedMetric
     from repro.core.scheduler import EnergyAwareScheduler
-    from repro.harness.engine import (
-        RunSpec,
-        SchedulerSpec,
-        get_default_engine,
-    )
+    from repro.harness.engine import SchedulerSpec
     from repro.harness.experiment import run_application
     from repro.obs.records import EXIT_DEADLINE_INFEASIBLE
     from repro.soc.carbon import CarbonSpec

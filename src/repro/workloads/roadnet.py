@@ -14,6 +14,14 @@ algorithms below (BFS, label-propagation CC, frontier Bellman-Ford
 SSSP) run on it at laptop scale - validated against networkx in the
 test suite - and their per-round active-set profiles are rescaled to
 the paper's launch counts and vertex counts to drive the simulator.
+
+CC's label propagation is Jacobi-style (each round reads only the
+previous round's labels), so it is vectorized over the CSR arrays and
+its result does not depend on vertex order.  SSSP's relaxation is
+Gauss-Seidel-style: a frontier vertex reads distances that earlier
+frontier vertices lowered in the same round, and the next frontier is
+the iteration order of a Python ``set``.  Both shape the per-round
+counts, so SSSP keeps its scalar loop, over plain Python lists.
 """
 
 from __future__ import annotations
@@ -109,6 +117,12 @@ def generate_road_network(width: int, height: int, shortcut_fraction: float = 0.
 # -- real level-synchronous algorithms ------------------------------------------
 
 
+def _check_source(source: int, n: int) -> None:
+    if not 0 <= source < n:
+        raise WorkloadError(
+            f"source vertex {source} is outside the graph's [0, {n}) range")
+
+
 def bfs_levels(graph: CsrGraph, source: int = 0) -> Tuple[np.ndarray, List[int]]:
     """Level-synchronous BFS; returns (level array, frontier sizes).
 
@@ -116,6 +130,7 @@ def bfs_levels(graph: CsrGraph, source: int = 0) -> Tuple[np.ndarray, List[int]]
     launch of the paper's BFS benchmark.
     """
     n = graph.num_vertices
+    _check_source(source, n)
     level = np.full(n, -1, dtype=np.int64)
     level[source] = 0
     frontier = np.array([source], dtype=np.int64)
@@ -147,50 +162,66 @@ def connected_components_labels(graph: CsrGraph) -> Tuple[np.ndarray, List[int]]
     benchmark.  Active counts per round are the launch sizes.
     """
     n = graph.num_vertices
+    indptr, indices = graph.indptr, graph.indices
+    degree = np.diff(indptr)
+    # reduceat over the starts of non-empty rows only: each segment then
+    # runs exactly to the row's end (empty rows in between share it).
+    rows = np.nonzero(degree)[0]
+    row_starts = indptr[rows]
+    edge_src = np.repeat(np.arange(n), degree)
     labels = np.arange(n, dtype=np.int64)
     active = np.ones(n, dtype=bool)
     rounds: List[int] = []
     while active.any():
         rounds.append(int(active.sum()))
-        new_labels = labels.copy()
-        active_vertices = np.nonzero(active)[0]
-        for v in active_vertices:
-            neigh = graph.neighbors(v)
-            if len(neigh):
-                m = labels[neigh].min()
-                if m < new_labels[v]:
-                    new_labels[v] = m
+        proposal = labels.copy()
+        if len(rows):
+            proposal[rows] = np.minimum(
+                labels[rows],
+                np.minimum.reduceat(labels[indices], row_starts))
+        new_labels = np.where(active, proposal, labels)
         changed = new_labels < labels
         labels = new_labels
         # Next round: changed vertices and their neighbors are active.
-        active = np.zeros(n, dtype=bool)
-        for v in np.nonzero(changed)[0]:
-            active[v] = True
-            active[graph.neighbors(v)] = True
+        active = changed.copy()
+        active[indices[changed[edge_src]]] = True
     return labels, rounds
 
 
 def sssp_distances(graph: CsrGraph, source: int = 0) -> Tuple[np.ndarray, List[int]]:
-    """Frontier-based Bellman-Ford SSSP; returns (dist, active counts)."""
+    """Frontier-based Bellman-Ford SSSP; returns (dist, active counts).
+
+    Each relaxation compares against the live ``dist[u]``.  With
+    parallel edges v->u this relaxes the same vertices in the same
+    order as comparing against a snapshot of ``dist`` taken when v's
+    row starts: the first edge whose candidate beats the snapshot also
+    beats the live value (no earlier edge lowered it), later edges only
+    lower ``dist[u]`` further, and re-adding u to ``relaxed`` leaves
+    the set's iteration order unchanged.
+    """
     n = graph.num_vertices
-    dist = np.full(n, np.inf)
+    _check_source(source, n)
+    indptr = graph.indptr.tolist()
+    indices = graph.indices.tolist()
+    weights = graph.weights.tolist()
+    dist = [float("inf")] * n
     dist[source] = 0.0
-    frontier = np.array([source], dtype=np.int64)
+    frontier = [source]
     rounds: List[int] = []
-    while len(frontier):
+    while frontier:
         rounds.append(len(frontier))
         relaxed = set()
         for v in frontier:
             dv = dist[v]
-            neigh = graph.neighbors(v)
-            w = graph.edge_weights(v)
-            cand = dv + w
-            better = cand < dist[neigh]
-            for u, du in zip(neigh[better], cand[better]):
-                dist[u] = min(dist[u], du)
-                relaxed.add(int(u))
-        frontier = np.fromiter(relaxed, dtype=np.int64, count=len(relaxed))
-    return dist, rounds
+            for e in range(indptr[v], indptr[v + 1]):
+                u = indices[e]
+                cand = dv + weights[e]
+                if cand < dist[u]:
+                    dist[u] = cand
+                    relaxed.add(u)
+        # The set's iteration order is the next round's processing order.
+        frontier = list(relaxed)
+    return np.array(dist, dtype=np.float64), rounds
 
 
 # -- launch-profile rescaling -----------------------------------------------------
