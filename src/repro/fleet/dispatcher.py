@@ -35,6 +35,7 @@ import heapq
 import math
 import random
 import time
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -517,7 +518,7 @@ def run_fleet(fleet: FleetSpec, trace: TraceSpec,
                 f"ineligible node {view.nodes[node_index].name}")
         node = view.nodes[node_index]
         profile = profiles[(node.platform_kind, request.workload)]
-        t_start = max(t_dispatch, view.free_at[node_index])
+        t_start = max(t_dispatch, view.free_at(node_index))
         t_complete = t_start + profile.time_s
         outcomes.append(RequestOutcome(
             req_id=request.req_id,
@@ -681,8 +682,8 @@ class _BucketRetirement:
 
 
 def _fifo_schedule(arrivals: np.ndarray, service: np.ndarray,
-                   nodes_ch: np.ndarray, free_at: np.ndarray
-                   ) -> Tuple[np.ndarray, np.ndarray]:
+                   nodes_ch: np.ndarray, node_slots: np.ndarray,
+                   free_at: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized per-node FIFO scheduling, bit-exact vs the loop.
 
     Requests arrive in chunk order; each node serves its own requests
@@ -690,7 +691,9 @@ def _fifo_schedule(arrivals: np.ndarray, service: np.ndarray,
     processing round-major (every node's r-th request in one block)
     performs the exact same float max/add per request as the scalar
     loop - only batched - so start/complete times match to the bit.
-    Mutates ``free_at`` in place.
+    ``free_at`` is the :class:`FleetView`'s slot array, indexed through
+    ``node_slots``; grouping stays in node order, where round-robin
+    chunks arrive nearly sorted.  Mutates ``free_at`` in place.
     """
     m = len(arrivals)
     t_start = np.empty(m, dtype=np.float64)
@@ -711,7 +714,7 @@ def _fifo_schedule(arrivals: np.ndarray, service: np.ndarray,
     for count in counts:
         sel = order[by_round[offset:offset + count]]
         offset += count
-        nd = nodes_ch[sel]  # one request per node within a round
+        nd = node_slots[nodes_ch[sel]]  # one request per node per round
         start = np.maximum(arrivals[sel], free_at[nd])
         complete = start + service[sel]
         free_at[nd] = complete
@@ -848,10 +851,13 @@ def dispatch_stream(fleet: FleetSpec, trace: TraceSpec,
     Identical placement decisions and per-request timestamps to
     :func:`run_fleet` in reference mode (the cross-mode fingerprint
     lock), at O(nodes + chunk) dispatch state instead of O(requests).
-    Stateless policies (random / round_robin / least_loaded) run as
-    block operations; the view-reading policies (energy_aware /
-    deadline_aware) run scalar over the columnar chunks with bucketed
-    completion retirement.
+    ``random`` and ``round_robin`` run as block operations.
+    ``least_loaded`` is per-request and sequential (each dispatch moves
+    the backlog the next one reads), one slice argmin per request.  The
+    view-reading policies (energy_aware / deadline_aware) run scalar
+    over the columnar chunks with bucketed completion retirement.
+    Every policy keeps its queue state in the :class:`FleetView`'s
+    class-major slots.
     """
     if fleet.carbon is not None:
         raise HarnessError(
@@ -914,6 +920,8 @@ def dispatch_stream(fleet: FleetSpec, trace: TraceSpec,
         [_PLATFORM_ORDER.index(n.platform_kind) for n in nodes],
         dtype=np.int64)
     node_names = [n.name for n in nodes]
+    node_slots = np.asarray(view.node_slots, dtype=np.int64)
+    slot_nodes = np.asarray(view.slot_nodes, dtype=np.int64)
     eligible_by_w = {
         wi: np.asarray(view.eligible_nodes(workloads[wi]), dtype=np.int64)
         for wi in present}
@@ -935,10 +943,16 @@ def dispatch_stream(fleet: FleetSpec, trace: TraceSpec,
     # every workload the trace contains; otherwise the scalar cursor
     # scan below replays the reference exactly.
     rr_uniform = all(len(eligible_by_w[wi]) == n_nodes for wi in present)
+    if policy == "least_loaded":
+        free = view.slot_free_at
+        least_loaded_slot = view.least_loaded_slot
+        spans = {wi: view.eligible_span(workloads[wi]) for wi in present}
+        slot_kind = node_kind[slot_nodes]
+        slot_service = {wi: svc_table[slot_kind, wi].tolist()
+                        for wi in present}
     stateful = policy in ("energy_aware", "deadline_aware")
     retirement = _BucketRetirement(n_nodes) if stateful else None
 
-    free_at = np.zeros(n_nodes, dtype=np.float64)
     busy_s = np.zeros(n_nodes, dtype=np.float64)
     cell_counts = np.zeros((2, n_workloads), dtype=np.int64)
     sketch = LatencySketch()
@@ -971,7 +985,8 @@ def dispatch_stream(fleet: FleetSpec, trace: TraceSpec,
                 dtype=np.int64, count=m)
             nodes_ch = eligible_matrix[w_ch, draws]
             service = svc_table[node_kind[nodes_ch], w_ch]
-            ts_ch, tc_ch = _fifo_schedule(t_ch, service, nodes_ch, free_at)
+            ts_ch, tc_ch = _fifo_schedule(t_ch, service, nodes_ch,
+                                          node_slots, view.slot_free_at)
         elif policy == "round_robin":
             if rr_uniform:
                 nodes_ch = (rr_cursor
@@ -988,26 +1003,26 @@ def dispatch_stream(fleet: FleetSpec, trace: TraceSpec,
                             rr_cursor = idx + 1
                             break
             service = svc_table[node_kind[nodes_ch], w_ch]
-            ts_ch, tc_ch = _fifo_schedule(t_ch, service, nodes_ch, free_at)
+            ts_ch, tc_ch = _fifo_schedule(t_ch, service, nodes_ch,
+                                          node_slots, view.slot_free_at)
         elif policy == "least_loaded":
-            # Sequential by nature (each dispatch moves free_at), but
-            # the inner argmin over eligible backlogs is one C-level
-            # pass; first-of-equals == the reference's strict-< scan.
-            nodes_ch = np.empty(m, dtype=np.int64)
-            ts_ch = np.empty(m, dtype=np.float64)
-            tc_ch = np.empty(m, dtype=np.float64)
-            for i in range(m):
-                wi = int(w_ch[i])
-                now = t_ch[i]
-                eligible = eligible_by_w[wi]
-                backlog = np.maximum(free_at[eligible] - now, 0.0)
-                idx = int(eligible[int(backlog.argmin())])
-                t_start = max(now, free_at[idx])
-                t_complete = t_start + svc_table[node_kind[idx], wi]
-                free_at[idx] = t_complete
-                nodes_ch[i] = idx
-                ts_ch[i] = t_start
-                tc_ch[i] = t_complete
+            # Sequential by nature (each dispatch moves the backlog the
+            # next one reads); the lookup is the view's slice argmin
+            # over the workload's eligible slot range.
+            slots_ch, starts, completes = array("q"), array("d"), array("d")
+            for t, wi in zip(t_ch.tolist(), w_ch.tolist()):
+                view.now = t
+                lo, hi = spans[wi]
+                slot = least_loaded_slot(lo, hi)
+                t_start = max(t, free.item(slot))
+                t_complete = t_start + slot_service[wi][slot]
+                free[slot] = t_complete
+                slots_ch.append(slot)
+                starts.append(t_start)
+                completes.append(t_complete)
+            nodes_ch = slot_nodes[np.frombuffer(slots_ch, dtype=np.int64)]
+            ts_ch = np.frombuffer(starts, dtype=np.float64)
+            tc_ch = np.frombuffer(completes, dtype=np.float64)
         else:
             # Stateful policies: the real FleetView + policy object
             # over columnar chunks, with bucketed retirement feeding
@@ -1034,7 +1049,7 @@ def dispatch_stream(fleet: FleetSpec, trace: TraceSpec,
                         f"ineligible node {view.nodes[node_index].name}")
                 profile = profiles[
                     (view.nodes[node_index].platform_kind, workload)]
-                t_start = max(t, view.free_at[node_index])
+                t_start = max(t, view.free_at(node_index))
                 t_complete = t_start + profile.time_s
                 view.note_dispatch(node_index, workload, t_complete)
                 retirement.push(
@@ -1107,10 +1122,9 @@ def dispatch_stream(fleet: FleetSpec, trace: TraceSpec,
             obs.inc("fleet.deadline_misses", n_missed)
             obs.set_gauge("fleet.dispatch.req_per_s",
                           m / elapsed if elapsed > 0.0 else 0.0)
-            fa = (np.asarray(view.free_at) if stateful else free_at)
             now_end = float(t_ch[-1]) if m else 0.0
-            obs.set_gauge("fleet.backlog", float(
-                np.sum(np.maximum(fa - now_end, 0.0))))
+            obs.set_gauge("fleet.backlog", float(np.sum(
+                np.maximum(view.slot_free_at - now_end, 0.0))))
             for record in records[new_records_from:]:
                 obs.decision(record)
             chunk_span.__exit__(None, None, None)

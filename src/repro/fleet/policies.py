@@ -31,10 +31,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import HarnessError, UnknownNameError, closest_names
-from repro.fleet.topology import NodeSpec
+from repro.fleet.topology import PLATFORM_KINDS, NodeSpec
 from repro.workloads.registry import workload_by_abbrev
 
 #: The placement policies :func:`make_policy` builds.
@@ -81,23 +83,40 @@ class FleetView:
     updates, completion accounting); policies get a read-only
     protocol: eligibility, backlogs, observed summaries, in-flight
     counts.
+
+    Dispatch state lives in **class-major slot order**: the desktop
+    block, then the tablet block, ascending node index within each.
+    Every eligible set is a run of whole classes in that same order,
+    so each class and each eligible set is one contiguous slice of
+    :attr:`slot_free_at`, and a least-loaded lookup is one argmin over
+    a view.  ``argmin`` keeps the first of equals, which is exactly
+    the strict-``<`` scan's tie-break in eligible order.
     """
 
     def __init__(self, nodes: Sequence[NodeSpec]) -> None:
         self.nodes: Tuple[NodeSpec, ...] = tuple(nodes)
         self.now: float = 0.0
-        #: Fleet-clock instant each node's queue drains, by index.
-        self.free_at: List[float] = [0.0] * len(self.nodes)
-        self._kind_nodes: Dict[str, Tuple[int, ...]] = {}
-        for node in self.nodes:
-            self._kind_nodes.setdefault(node.platform_kind, ())
-        for kind in self._kind_nodes:
-            self._kind_nodes[kind] = tuple(
-                n.index for n in self.nodes if n.platform_kind == kind)
+        #: Node index held by each slot (class-major order).
+        self.slot_nodes: Tuple[int, ...] = tuple(
+            n.index for kind in PLATFORM_KINDS for n in self.nodes
+            if n.platform_kind == kind)
+        #: Slot of each node, by node index.
+        self.node_slots: Tuple[int, ...] = tuple(
+            np.argsort(self.slot_nodes).tolist())
+        #: Fleet-clock instant each slot's queue drains.
+        self.slot_free_at: np.ndarray = np.zeros(len(self.nodes))
+        #: Slot range [lo, hi) of each platform class present.
+        self._kind_span: Dict[str, Tuple[int, int]] = {}
+        lo = 0
+        for kind in PLATFORM_KINDS:
+            count = sum(1 for n in self.nodes if n.platform_kind == kind)
+            if count:
+                self._kind_span[kind] = (lo, lo + count)
+                lo += count
         self._stats: Dict[Tuple[str, str], CellStats] = {}
         self._in_flight: Dict[Tuple[str, str], int] = {}
         self._eligible_kinds: Dict[str, Tuple[str, ...]] = {}
-        self._eligible_nodes: Dict[str, Tuple[int, ...]] = {}
+        self._eligible_span: Dict[str, Tuple[int, int]] = {}
 
     # -- topology & eligibility --------------------------------------------------
 
@@ -110,33 +129,55 @@ class FleetView:
         if cached is None:
             spec = workload_by_abbrev(workload)
             cached = tuple(
-                kind for kind in ("desktop", "tablet")
-                if self._kind_nodes.get(kind)
+                kind for kind in PLATFORM_KINDS
+                if kind in self._kind_span
                 and (kind == "desktop" or spec.tablet_supported))
             self._eligible_kinds[workload] = cached
         return cached
 
+    def eligible_span(self, workload: str) -> Tuple[int, int]:
+        """Slot range [lo, hi) of the nodes that can run ``workload``.
+
+        The eligible classes are adjacent in slot order, so their
+        blocks join into one range.
+        """
+        span = self._eligible_span.get(workload)
+        if span is None:
+            kinds = self.eligible_kinds(workload)
+            span = ((self._kind_span[kinds[0]][0],
+                     self._kind_span[kinds[-1]][1]) if kinds else (0, 0))
+            self._eligible_span[workload] = span
+        return span
+
     def eligible_nodes(self, workload: str) -> Tuple[int, ...]:
-        cached = self._eligible_nodes.get(workload)
-        if cached is None:
-            cached = tuple(
-                i for kind in self.eligible_kinds(workload)
-                for i in self._kind_nodes[kind])
-            self._eligible_nodes[workload] = cached
-        return cached
+        lo, hi = self.eligible_span(workload)
+        return self.slot_nodes[lo:hi]
 
     def is_eligible(self, index: int, workload: str) -> bool:
         return self.nodes[index].platform_kind in self.eligible_kinds(workload)
 
     # -- load --------------------------------------------------------------------
 
+    def free_at(self, index: int) -> float:
+        """Fleet-clock instant this node's queue drains."""
+        return self.slot_free_at.item(self.node_slots[index])
+
     def backlog_s(self, index: int) -> float:
         """Queued work ahead of a new arrival on this node, seconds."""
-        return max(0.0, self.free_at[index] - self.now)
+        return max(0.0, self.free_at(index) - self.now)
+
+    def least_loaded_slot(self, lo: int, hi: int) -> int:
+        """Slot of the minimum backlog in [lo, hi); the first of equals
+        wins.  ``max(0, free_at - now)`` is the same IEEE operation as
+        :meth:`backlog_s`, element by element."""
+        return lo + int(
+            np.maximum(self.slot_free_at[lo:hi] - self.now, 0.0).argmin())
 
     def least_loaded(self, indices: Sequence[int]) -> int:
         """Minimum backlog; the first of equals in ``indices`` wins
-        (deterministic for any fixed candidate order)."""
+        (deterministic for any fixed candidate order).  For short
+        ad-hoc candidate lists; whole classes and eligible sets go
+        through :meth:`least_loaded_slot`."""
         best = indices[0]
         best_backlog = self.backlog_s(best)
         for i in indices[1:]:
@@ -146,7 +187,13 @@ class FleetView:
         return best
 
     def least_loaded_of_kind(self, kind: str, workload: str) -> int:
-        return self.least_loaded(self._kind_nodes[kind])
+        lo, hi = self._kind_span[kind]
+        return self.slot_nodes[self.least_loaded_slot(lo, hi)]
+
+    def least_loaded_eligible(self, workload: str) -> int:
+        """The least-loaded node that can run ``workload``."""
+        return self.slot_nodes[
+            self.least_loaded_slot(*self.eligible_span(workload))]
 
     # -- shared summaries (the fleet's table G) ----------------------------------
 
@@ -162,7 +209,7 @@ class FleetView:
     def note_dispatch(self, index: int, workload: str,
                       t_complete: float) -> None:
         kind = self.platform_kind(index)
-        self.free_at[index] = t_complete
+        self.slot_free_at[self.node_slots[index]] = t_complete
         key = (kind, workload)
         self._in_flight[key] = self._in_flight.get(key, 0) + 1
 
@@ -226,7 +273,7 @@ class LeastLoadedPolicy(PlacementPolicy):
     name = "least_loaded"
 
     def place(self, view: FleetView, request) -> Tuple[int, str]:
-        index = view.least_loaded(view.eligible_nodes(request.workload))
+        index = view.least_loaded_eligible(request.workload)
         return index, f"backlog={view.backlog_s(index):.3f}s"
 
 
@@ -248,8 +295,7 @@ class EnergyAwarePolicy(PlacementPolicy):
                 return (view.least_loaded_of_kind(kind, workload),
                         f"probe:{kind}")
         if not known:
-            index = view.least_loaded(view.eligible_nodes(workload))
-            return index, "cold-start"
+            return view.least_loaded_eligible(workload), "cold-start"
         energy, best_kind = known[0]
         index = view.least_loaded_of_kind(best_kind, workload)
         if len(kinds) > 1:

@@ -88,6 +88,26 @@ class TestCrossModeEquivalence:
         assert a.fingerprint() != b.fingerprint()
 
 
+class TestTieBreakRegression:
+    """Ties break in eligible (class-major) order, not node index.
+
+    At ``desktop_fraction=0.5`` node 0 is a tablet and node 1 the
+    first desktop.  On an all-idle fleet every backlog ties at zero,
+    so the first placement must land on node 1 in both modes.
+    """
+
+    @pytest.mark.parametrize(
+        "policy", ("least_loaded", "energy_aware", "deadline_aware"))
+    def test_first_placement_is_lowest_index_desktop(self, engine, policy):
+        nodes = FLEET.nodes()
+        assert nodes[0].platform_kind == "tablet"
+        assert nodes[1].platform_kind == "desktop"
+        ref = run_fleet(FLEET, TRACE, policy=policy, engine=engine)
+        assert ref.outcomes[0].node_index == 1
+        st = dispatch_stream(FLEET, TRACE, policy=policy, engine=engine)
+        assert st.placement_records[0].tenant == nodes[1].name
+
+
 class TestChunkIndependence:
     @pytest.mark.parametrize("chunk_size", (1, 5, 17, 4096))
     def test_fingerprint_chunk_size_independent(self, engine, chunk_size):
