@@ -16,6 +16,7 @@ software-visible interfaces (run work, read clock, read MSR).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -32,6 +33,34 @@ DEFAULT_SWEEP_STEP = 0.05
 
 #: Items used for the tiny single-device probe that calibrates N.
 _PROBE_ITEMS = 50_000.0
+
+#: How far ``round(1 / step) * step`` may sit from 1 for ``step`` to
+#: count as dividing the alpha range.
+_STEP_TOL = 1e-9
+
+#: Finest sweep accepted: every point simulates the micro-benchmark, so
+#: a grid this dense is a typo, not a measurement plan.
+_MAX_SWEEP_INTERVALS = 10_000
+
+
+def sweep_step_problem(sweep_step: float) -> Optional[str]:
+    """Why ``sweep_step`` cannot grid [0, 1], or None when it can.
+
+    A sweep measures alpha = 0, step, 2*step, ..., 1, so the step must
+    be finite, lie in (0, 1], be no finer than 1/10000 and divide 1
+    (within ``1e-9``); otherwise the grid misses the GPU-only point
+    alpha = 1.0, is empty, or cannot be enumerated.
+    Whether the grid holds enough points for the fit is the fit's own
+    check.
+    """
+    if not math.isfinite(sweep_step) or not 0.0 < sweep_step <= 1.0:
+        return f"sweep_step {sweep_step!r} must be finite and in (0, 1]"
+    if 1.0 / sweep_step > _MAX_SWEEP_INTERVALS:
+        return (f"sweep_step {sweep_step!r} is finer than "
+                f"1/{_MAX_SWEEP_INTERVALS}")
+    if abs(round(1.0 / sweep_step) * sweep_step - 1.0) > _STEP_TOL:
+        return f"sweep_step {sweep_step!r} does not divide 1"
+    return None
 
 
 @dataclass(frozen=True)
@@ -133,6 +162,9 @@ class PowerCharacterizer:
         """
         if not microbenches:
             raise CharacterizationError("no micro-benchmarks supplied")
+        problem = sweep_step_problem(sweep_step)
+        if problem is not None:
+            raise CharacterizationError(problem)
         seen = set()
         for mb in microbenches:
             if mb.category in seen:

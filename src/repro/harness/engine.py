@@ -58,7 +58,11 @@ from repro.core.baselines import (
     RaceToIdleScheduler,
     StaticAlphaScheduler,
 )
-from repro.core.characterization import CharacterizationMicrobench, PlatformCharacterization
+from repro.core.characterization import (
+    CharacterizationMicrobench,
+    PlatformCharacterization,
+    sweep_step_problem,
+)
 from repro.core.metrics import EnergyMetric, metric_by_name
 from repro.core.scheduler import EnergyAwareScheduler, SchedulerConfig
 from repro.errors import HarnessError
@@ -328,9 +332,12 @@ class RunSpec:
         if self.kind in (KIND_APPLICATION, KIND_CHAOS_CELL,
                          KIND_MULTIPROGRAM) and self.scheduler is None:
             raise HarnessError(f"{self.kind} spec needs a scheduler")
-        if self.kind == KIND_CHAR_SWEEP and (
-                self.microbench is None or self.sweep_step <= 0.0):
-            raise HarnessError("char-sweep spec needs a microbench and step")
+        if self.kind == KIND_CHAR_SWEEP:
+            if self.microbench is None:
+                raise HarnessError("char-sweep spec needs a microbench")
+            problem = sweep_step_problem(self.sweep_step)
+            if problem is not None:
+                raise HarnessError(f"char-sweep spec: {problem}")
         if self.tenancy is not None and not isinstance(self.tenancy,
                                                        TenancySpec):
             raise HarnessError(

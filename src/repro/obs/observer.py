@@ -95,26 +95,33 @@ class Observer:
 
     # -- spans ------------------------------------------------------------------
 
+    # span(), _close_span(), inc() and observe() run several times per
+    # simulated phase of an observed run, so they read the clock and the
+    # registry's dicts directly instead of through helper calls.
+
     def span(self, name: str, **attrs: Any) -> _SpanContext:
         """Open a nested span; use as ``with obs.span("name", k=v):``."""
-        parent = self._stack[-1] if self._stack else None
+        stack = self._stack
+        parent = stack[-1] if stack else None
+        clock = self._sim_clock
         record = SpanRecord(
             name=name,
             seq=self._seq,
             parent_seq=parent.seq if parent is not None else None,
-            depth=len(self._stack),
+            depth=len(stack),
             wall_start_s=time.perf_counter(),
-            sim_start_s=self._sim_now(),
+            sim_start_s=clock() if clock is not None else None,
             attrs=attrs,
         )
         self._seq += 1
         self.spans.append(record)
-        self._stack.append(record)
+        stack.append(record)
         return _SpanContext(self, record)
 
     def _close_span(self, record: SpanRecord, exc: Optional[BaseException]) -> None:
         record.wall_end_s = time.perf_counter()
-        record.sim_end_s = self._sim_now()
+        clock = self._sim_clock
+        record.sim_end_s = clock() if clock is not None else None
         if exc is not None:
             record.attrs.setdefault("error", type(exc).__name__)
         # Unwind to (and including) the record even if inner spans
@@ -162,13 +169,19 @@ class Observer:
     # -- metric shorthands -------------------------------------------------------
 
     def inc(self, name: str, amount: float = 1.0) -> None:
-        self.metrics.counter(name).inc(amount)
+        counter = self.metrics._counters.get(name)
+        if counter is None:
+            counter = self.metrics.counter(name)
+        counter.value += amount
 
     def set_gauge(self, name: str, value: float) -> None:
         self.metrics.gauge(name).set(value)
 
     def observe(self, name: str, value: float) -> None:
-        self.metrics.histogram(name).observe(value)
+        histogram = self.metrics._histograms.get(name)
+        if histogram is None:
+            histogram = self.metrics.histogram(name)
+        histogram.observe(value)
 
 
 class NullObserver(Observer):

@@ -26,9 +26,14 @@ compute-bound, so these models drive both timing *and* classification.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 from repro.errors import SpecError
 from repro.units import CACHELINE_BYTES
+
+#: Per-item quantities :class:`KernelCostModel` derives from its fields.
+_DERIVED = ("loadstores_per_item", "l3_misses_per_item", "dram_bytes_per_item",
+            "gpu_instructions_per_item", "gpu_dram_bytes_per_item")
 
 
 @dataclass(frozen=True)
@@ -80,33 +85,44 @@ class KernelCostModel:
             raise SpecError(f"{self.name}: gpu_instruction_expansion must be positive")
         if self.gpu_traffic_factor <= 0:
             raise SpecError(f"{self.name}: gpu_traffic_factor must be positive")
+        self._derive()
 
     # -- derived quantities -------------------------------------------------
+    #
+    # The simulator reads these on every tick, so they are computed once,
+    # at construction, into plain instance attributes (see
+    # ``_DERIVED``).  They are not dataclass fields: equality, hashing,
+    # ``repr``, ``asdict`` (and with it ``RunSpec.canonical()``) and
+    # pickles see only the fields.
 
-    @property
-    def loadstores_per_item(self) -> float:
-        """Load/store instructions per item."""
-        return self.instructions_per_item * self.loadstore_fraction
+    #: Load/store instructions per item.
+    loadstores_per_item: ClassVar[float]
+    #: LLC misses per item.
+    l3_misses_per_item: ClassVar[float]
+    #: DRAM traffic per item, bytes (one cache line per miss).
+    dram_bytes_per_item: ClassVar[float]
+    #: GPU dynamic instructions per item.
+    gpu_instructions_per_item: ClassVar[float]
+    #: DRAM traffic per item on the GPU (coalescing applied).
+    gpu_dram_bytes_per_item: ClassVar[float]
 
-    @property
-    def l3_misses_per_item(self) -> float:
-        """LLC misses per item."""
-        return self.loadstores_per_item * self.l3_miss_rate
+    def _derive(self) -> None:
+        loadstores = self.instructions_per_item * self.loadstore_fraction
+        l3_misses = loadstores * self.l3_miss_rate
+        dram_bytes = l3_misses * CACHELINE_BYTES
+        values = (loadstores, l3_misses, dram_bytes,
+                  self.instructions_per_item * self.gpu_instruction_expansion,
+                  dram_bytes * self.gpu_traffic_factor)
+        for name, value in zip(_DERIVED, values):
+            object.__setattr__(self, name, value)
 
-    @property
-    def dram_bytes_per_item(self) -> float:
-        """DRAM traffic per item, bytes (one cache line per miss)."""
-        return self.l3_misses_per_item * CACHELINE_BYTES
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in self.__dict__.items()
+                if name not in _DERIVED}
 
-    @property
-    def gpu_instructions_per_item(self) -> float:
-        """GPU dynamic instructions per item."""
-        return self.instructions_per_item * self.gpu_instruction_expansion
-
-    @property
-    def gpu_dram_bytes_per_item(self) -> float:
-        """DRAM traffic per item on the GPU (coalescing applied)."""
-        return self.dram_bytes_per_item * self.gpu_traffic_factor
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._derive()
 
     @property
     def miss_to_loadstore_ratio(self) -> float:

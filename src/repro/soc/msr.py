@@ -35,13 +35,12 @@ class EnergyMsr:
     def deposit_power(self, power_w: float, duration_s: float) -> int:
         """Bulk deposit: integrate constant ``power_w`` over ``duration_s``.
 
-        The macro-step path of the simulator's fast clock mode lands
-        here: one call may advance the register across *several* full
-        32-bit wraps.  The accumulator is an unwrapped float (wrapping
-        happens at :meth:`read` time), so multi-wrap jumps are exact by
-        construction; the return value is how many wrap boundaries the
-        deposit crossed, for diagnostics (``soc.msr_wraps``) and the
-        multi-wrap unit tests.
+        One call may advance the register across *several* full 32-bit
+        wraps.  The accumulator is an unwrapped float (wrapping happens
+        at :meth:`read` time), so multi-wrap jumps are exact by
+        construction - for :meth:`deposit` too, which the simulator's
+        macro-steps use; this variant also returns how many wrap
+        boundaries the deposit crossed, for the multi-wrap unit tests.
         """
         if power_w < 0:
             raise SimulationError("cannot deposit negative power")

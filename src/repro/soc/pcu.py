@@ -52,6 +52,8 @@ only while that "armed" condition holds.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -62,16 +64,13 @@ from repro.soc.spec import PlatformSpec
 #: in the simulation clock, narrow against the smallest tick (1e-7 s).
 _GRID_TOL = 1e-6
 
+_INF = float("inf")
+
 
 def _grid_after(t: float, interval: float) -> float:
     """Smallest grid multiple strictly after ``t`` (FP-tolerant: a ``t``
     within tolerance below ``k * interval`` counts as already on it)."""
     return (math.floor(t / interval + _GRID_TOL) + 1.0) * interval
-
-
-def _on_grid(t: float, interval: float) -> bool:
-    x = t / interval
-    return abs(x - round(x)) <= _GRID_TOL
 
 
 @dataclass
@@ -89,7 +88,12 @@ class PcuState:
 
 
 class Pcu:
-    """The firmware controller.  Stepped once per simulator tick."""
+    """The firmware controller.  Stepped once per simulator tick.
+
+    The spec's policy parameters are copied into private attributes at
+    construction: :meth:`step` and friends run once per simulator tick,
+    and the spec is frozen, so the copies never go stale.
+    """
 
     def __init__(self, spec: PlatformSpec) -> None:
         self.spec = spec
@@ -109,34 +113,49 @@ class Pcu:
         #: Stock firmware ignores such hints; this models a PCU that
         #: exposes one as a software knob.
         self.power_hint = 0.0
+        pcu, cpu, gpu = spec.pcu, spec.cpu, spec.gpu
+        self._cpu_min_hz = cpu.min_freq_hz
+        self._cpu_turbo_hz = cpu.turbo_freq_hz
+        self._gpu_min_hz = gpu.min_freq_hz
+        self._gpu_turbo_hz = gpu.turbo_freq_hz
+        self._coexec_hz = pcu.cpu_coexec_freq_hz
+        self._floor_hz = pcu.cpu_gpu_activation_floor_hz
+        self._hint_span_hz = pcu.cpu_coexec_freq_hz - pcu.cpu_gpu_activation_floor_hz
+        self._release_s = pcu.gpu_idle_release_s
+        self._cold_s = pcu.gpu_cold_threshold_s
+        self._sample_s = pcu.sample_interval_s
+        self._cap_w = pcu.package_cap_w
+        self._ramp_up = pcu.cpu_ramp_up_hz_per_s
+        self._recovery_ramp = pcu.cpu_recovery_ramp_hz_per_s
+        self._ramp_down = pcu.cpu_ramp_down_hz_per_s
+        self._gpu_ramp = pcu.gpu_ramp_hz_per_s
 
     # -- policy ----------------------------------------------------------------
 
     def _cpu_target_hz(self, now: float, cpu_active: bool, gpu_active: bool) -> float:
-        pcu = self.spec.pcu
-        cpu = self.spec.cpu
         if not cpu_active:
-            return cpu.min_freq_hz
-        gpu_recent = (now - self.state.last_gpu_active_t) < pcu.gpu_idle_release_s
-        if gpu_active or gpu_recent:
+            return self._cpu_min_hz
+        st = self.state
+        if gpu_active or (now - st.last_gpu_active_t) < self._release_s:
             # An efficiency hint paces the co-executing CPU between its
             # normal sharing target and the activation floor.
-            target = (pcu.cpu_coexec_freq_hz
-                      - self.power_hint * (pcu.cpu_coexec_freq_hz
-                                           - pcu.cpu_gpu_activation_floor_hz))
+            target = self._coexec_hz - self.power_hint * self._hint_span_hz
         else:
-            target = cpu.turbo_freq_hz
-        target -= self.state.cap_throttle_hz
-        return max(cpu.min_freq_hz, min(target, cpu.turbo_freq_hz))
+            target = self._cpu_turbo_hz
+        target -= st.cap_throttle_hz
+        # max(min, min(target, turbo)), without the calls.
+        turbo = self._cpu_turbo_hz
+        target = turbo if turbo < target else target
+        lowest = self._cpu_min_hz
+        return target if target > lowest else lowest
 
     def _gpu_target_hz(self, gpu_active: bool) -> float:
-        gpu = self.spec.gpu
-        return gpu.turbo_freq_hz if gpu_active else gpu.min_freq_hz
+        return self._gpu_turbo_hz if gpu_active else self._gpu_min_hz
 
     def _sample_armed(self, last_package_power_w: float) -> bool:
         """Would a cap-feedback sample do anything right now?"""
         return (self.state.cap_throttle_hz > 0.0
-                or last_package_power_w > self.spec.pcu.package_cap_w)
+                or last_package_power_w > self._cap_w)
 
     # -- fast-forward contract ---------------------------------------------------
 
@@ -156,7 +175,7 @@ class Pcu:
             return False
         if st.cap_throttle_hz != 0.0:
             return False
-        if last_package_power_w > self.spec.pcu.package_cap_w:
+        if last_package_power_w > self._cap_w:
             return False
         return (st.cpu_freq_hz == self._cpu_target_hz(now, cpu_active, gpu_active)
                 and st.gpu_freq_hz == self._gpu_target_hz(gpu_active))
@@ -172,15 +191,15 @@ class Pcu:
         post-release ramp starts at the same instant everywhere.
         """
         if cpu_active and not gpu_active:
-            pcu = self.spec.pcu
             # Same arithmetic as _cpu_target_hz's recency test, so the
             # reported release instant and the actual target flip agree
             # to the ulp.  The result may be at or an ulp before ``now``
             # when the flip is imminent; callers clamp their step to
             # _MIN_DT and tick across it.
-            if (now - self.state.last_gpu_active_t) < pcu.gpu_idle_release_s:
-                return self.state.last_gpu_active_t + pcu.gpu_idle_release_s
-        return float("inf")
+            last = self.state.last_gpu_active_t
+            if (now - last) < self._release_s:
+                return last + self._release_s
+        return _INF
 
     def bound_dt(self, now: float, dt: float,
                  last_package_power_w: float) -> float:
@@ -193,7 +212,7 @@ class Pcu:
         """
         if not self._sample_armed(last_package_power_w):
             return dt
-        return min(dt, _grid_after(now, self.spec.pcu.sample_interval_s) - now)
+        return min(dt, _grid_after(now, self._sample_s) - now)
 
     def edge_pending(self, gpu_active: bool) -> bool:
         """Would the next step apply a GPU activity edge?
@@ -213,19 +232,10 @@ class Pcu:
         without touching live state, evaluates the rate/power models
         once over the whole schedule, then advances the real controller
         to the committed prefix.  The clone shares the (immutable) spec
-        and copies all mutable state.
+        and its policy constants, and copies all mutable state.
         """
-        twin = Pcu.__new__(Pcu)
-        twin.spec = self.spec
-        twin.state = PcuState(
-            cpu_freq_hz=self.state.cpu_freq_hz,
-            gpu_freq_hz=self.state.gpu_freq_hz,
-            last_gpu_active_t=self.state.last_gpu_active_t,
-            cap_throttle_hz=self.state.cap_throttle_hz,
-        )
-        twin._gpu_was_active = self._gpu_was_active
-        twin._throttle_recovery = self._throttle_recovery
-        twin.power_hint = self.power_hint
+        twin = copy.copy(self)
+        twin.state = dataclasses.replace(self.state)
         return twin
 
     def macro_step(self, now: float, dt: float, cpu_active: bool,
@@ -250,7 +260,6 @@ class Pcu:
         ``last_package_power_w`` is the power measured over the previous
         tick - the feedback signal for cap enforcement.
         """
-        pcu = self.spec.pcu
         st = self.state
 
         # A GPU activation edge after a genuine idle period throttles
@@ -261,10 +270,9 @@ class Pcu:
         # workloads could never co-execute, contradicting the paper's
         # Fig. 3 steady-state co-execution power.
         if gpu_active and not self._gpu_was_active:
-            cold = (now - st.last_gpu_active_t) > pcu.gpu_cold_threshold_s
+            cold = (now - st.last_gpu_active_t) > self._cold_s
             if cold:
-                st.cpu_freq_hz = min(st.cpu_freq_hz,
-                                     pcu.cpu_gpu_activation_floor_hz)
+                st.cpu_freq_hz = min(st.cpu_freq_hz, self._floor_hz)
                 self._throttle_recovery = True
         self._gpu_was_active = gpu_active
 
@@ -272,10 +280,11 @@ class Pcu:
         # sample grid.  Off-grid steps skip it; the simulator only
         # forces grid alignment (bound_dt) while a sample would have
         # an effect, so nothing observable is ever missed.
-        if _on_grid(now, pcu.sample_interval_s):
+        x = now / self._sample_s
+        if abs(x - round(x)) <= _GRID_TOL:
             # Package-cap feedback (integral controller on CPU freq).
-            if last_package_power_w > pcu.package_cap_w:
-                overshoot = last_package_power_w / pcu.package_cap_w - 1.0
+            if last_package_power_w > self._cap_w:
+                overshoot = last_package_power_w / self._cap_w - 1.0
                 st.cap_throttle_hz += overshoot * 0.4e9
             elif st.cap_throttle_hz > 0.0:
                 st.cap_throttle_hz = max(0.0, st.cap_throttle_hz - 0.05e9)
@@ -285,29 +294,37 @@ class Pcu:
 
         # Frequency ramping toward targets.
         cpu_target = self._cpu_target_hz(now, cpu_active, gpu_active)
-        if st.cpu_freq_hz < cpu_target:
+        cpu_freq = st.cpu_freq_hz
+        if cpu_freq < cpu_target:
             # Recovery from the activation throttle is slow only while
             # the GPU is still active or recently so (power sharing);
             # once the GPU has genuinely gone idle, turbo re-engages at
             # the normal fast ramp - Fig. 4's package power returns to
             # ~60 W *between* bursts.
-            gpu_recent = (now - st.last_gpu_active_t) < pcu.gpu_idle_release_s
-            slow = self._throttle_recovery and (gpu_active or gpu_recent)
-            ramp = (pcu.cpu_recovery_ramp_hz_per_s if slow
-                    else pcu.cpu_ramp_up_hz_per_s)
-            st.cpu_freq_hz = min(cpu_target, st.cpu_freq_hz + ramp * dt)
-            if st.cpu_freq_hz >= cpu_target:
+            slow = self._throttle_recovery and (
+                gpu_active or (now - st.last_gpu_active_t) < self._release_s)
+            ramp = self._recovery_ramp if slow else self._ramp_up
+            cpu_freq = cpu_freq + ramp * dt
+            # min(target, freq) / max(target, freq) below, without the
+            # calls: same comparison, same object returned.
+            cpu_freq = cpu_freq if cpu_freq < cpu_target else cpu_target
+            st.cpu_freq_hz = cpu_freq
+            if cpu_freq >= cpu_target:
                 self._throttle_recovery = False
-        elif st.cpu_freq_hz > cpu_target:
-            st.cpu_freq_hz = max(cpu_target,
-                                 st.cpu_freq_hz - pcu.cpu_ramp_down_hz_per_s * dt)
+        elif cpu_freq > cpu_target:
+            cpu_freq = cpu_freq - self._ramp_down * dt
+            cpu_freq = cpu_freq if cpu_freq > cpu_target else cpu_target
+            st.cpu_freq_hz = cpu_freq
 
-        gpu_target = self._gpu_target_hz(gpu_active)
-        if st.gpu_freq_hz < gpu_target:
-            st.gpu_freq_hz = min(gpu_target,
-                                 st.gpu_freq_hz + pcu.gpu_ramp_hz_per_s * dt)
-        elif st.gpu_freq_hz > gpu_target:
-            st.gpu_freq_hz = max(gpu_target,
-                                 st.gpu_freq_hz - pcu.gpu_ramp_hz_per_s * dt)
+        gpu_target = self._gpu_turbo_hz if gpu_active else self._gpu_min_hz
+        gpu_freq = st.gpu_freq_hz
+        if gpu_freq < gpu_target:
+            gpu_freq = gpu_freq + self._gpu_ramp * dt
+            gpu_freq = gpu_freq if gpu_freq < gpu_target else gpu_target
+            st.gpu_freq_hz = gpu_freq
+        elif gpu_freq > gpu_target:
+            gpu_freq = gpu_freq - self._gpu_ramp * dt
+            gpu_freq = gpu_freq if gpu_freq > gpu_target else gpu_target
+            st.gpu_freq_hz = gpu_freq
 
-        return st.cpu_freq_hz, st.gpu_freq_hz
+        return cpu_freq, gpu_freq

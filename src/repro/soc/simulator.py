@@ -39,6 +39,7 @@ divergence on end-to-end time/energy/items below 1e-6 relative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional
 
 import numpy as np
@@ -50,7 +51,12 @@ from repro.soc.counters import CounterDelta, CounterSnapshot, PerfCounters
 from repro.soc.device import DeviceRates, compute_rates, compute_rates_batch
 from repro.soc.msr import EnergyMsr
 from repro.soc.pcu import Pcu
-from repro.soc.power import idle_power, package_power, package_power_batch
+from repro.soc.power import (
+    PowerBreakdown,
+    idle_power,
+    package_power,
+    package_power_batch,
+)
 from repro.soc.spec import PlatformSpec
 from repro.soc.trace import SPAN_DECIMATION_TICKS, PowerTrace, TraceSample
 from repro.soc.vector import active_vector_core
@@ -71,10 +77,60 @@ _BATCH_MAX_TICKS = 4096
 #: calls); fall back to the scalar tick path, which memoizes instead.
 _BATCH_MIN_TICKS = 16
 
-#: Entry cap for the fast-mode model memo (see ``_rates_cached``);
+#: Entry cap for the fast-mode model memos (see ``_memoized_rates``);
 #: cleared wholesale when exceeded, which in practice never happens
 #: inside one application run.
 _MEMO_MAX_ENTRIES = 262144
+
+_INF = float("inf")
+
+
+def _memoized_rates(rates, memo: dict, kernel_name: str):
+    """``rates`` (:func:`~repro.soc.device.compute_rates` with the spec
+    and kernel bound) behind ``memo`` - fast clock mode only.
+
+    Keyed on every model input; a hit returns the object a fresh
+    evaluation would produce bit-for-bit, so this is invisible to
+    fast-vs-exact equivalence.  Kernel cost models are keyed by name:
+    within one run a name denotes one parameter set.
+    """
+    def cached(cpu_freq, gpu_freq, cpu_cores, dispatch, cpu_active,
+               gpu_active):
+        key = (kernel_name, cpu_freq, gpu_freq, cpu_cores, dispatch,
+               cpu_active, gpu_active)
+        value = memo.get(key)
+        if value is None:
+            value = rates(cpu_freq, gpu_freq, cpu_cores, dispatch,
+                          cpu_active, gpu_active)
+            if len(memo) >= _MEMO_MAX_ENTRIES:
+                memo.clear()
+            memo[key] = value
+        return value
+    return cached
+
+
+def _memoized_power(power, memo: dict):
+    """``power`` (:func:`~repro.soc.power.package_power` with the spec
+    bound) behind ``memo`` - fast clock mode only.
+
+    The key carries exactly the fields the power model reads from the
+    rates (stall fractions and traffic) plus the explicit arguments, so
+    a hit is bit-identical to a fresh evaluation.
+    """
+    def cached(rates, cpu_freq, gpu_freq, cpu_cores, gpu_active):
+        key = (rates.cpu_memory_stall_fraction,
+               rates.gpu_memory_stall_fraction,
+               rates.cpu_traffic_bytes_per_s,
+               rates.gpu_traffic_bytes_per_s,
+               cpu_freq, gpu_freq, cpu_cores, gpu_active)
+        value = memo.get(key)
+        if value is None:
+            value = power(rates, cpu_freq, gpu_freq, cpu_cores, gpu_active)
+            if len(memo) >= _MEMO_MAX_ENTRIES:
+                memo.clear()
+            memo[key] = value
+        return value
+    return cached
 
 
 @dataclass
@@ -143,6 +199,11 @@ class IntegratedProcessor:
         else:
             self._rates_memo = {}
             self._power_memo = {}
+        # The power model with the platform bound (fast mode:
+        # memoized); _run_phase_inner binds the rate model per phase.
+        self._power = partial(package_power, spec)
+        if self._fast:
+            self._power = _memoized_power(self._power, self._power_memo)
 
     # -- software-visible interface (what schedulers may use) -------------------
 
@@ -210,31 +271,31 @@ class IntegratedProcessor:
         # Idle power depends only on the spec - one computation serves
         # the whole wait, however it is stepped.
         breakdown = idle_power(self.spec)
+        pcu = self.pcu
+        fast = self._fast
+        sources = self._event_sources
         while remaining > _MIN_DT:
-            horizon = (self._event_horizon() if self._event_sources
-                       else float("inf"))
-            if self._fast and self.pcu.settled(self.now, False, False,
-                                               self._last_package_w):
+            now = self.now
+            horizon = self._event_horizon() if sources else _INF
+            if fast and pcu.settled(now, False, False, self._last_package_w):
                 # Both devices idle and the PCU parked: the rest of the
                 # wait is one constant-power macro-step (up to the next
                 # discrete event).
-                dt = min(remaining, horizon - self.now)
+                dt = min(remaining, horizon - now)
                 if dt > tick:
-                    self.pcu.macro_step(self.now, dt, cpu_active=False,
-                                        gpu_active=False)
-                    self._account_span(dt, breakdown.package_w, 0.0, 0.0,
-                                       breakdown.uncore_w, gpu_active=False)
+                    pcu.macro_step(now, dt, cpu_active=False,
+                                   gpu_active=False)
+                    self._account_span(dt, breakdown, False)
                     remaining -= dt
                     continue
             dt = min(tick, remaining)
-            if horizon - self.now < dt:
-                dt = horizon - self.now
-            dt = self.pcu.bound_dt(self.now, dt, self._last_package_w)
+            if horizon - now < dt:
+                dt = horizon - now
+            dt = pcu.bound_dt(now, dt, self._last_package_w)
             dt = max(dt, _MIN_DT)
-            self.pcu.step(self.now, dt, cpu_active=False, gpu_active=False,
-                          last_package_power_w=self._last_package_w)
-            self._account_tick(dt, breakdown.package_w, 0.0, 0.0,
-                               breakdown.uncore_w, gpu_active=False)
+            pcu.step(now, dt, cpu_active=False, gpu_active=False,
+                     last_package_power_w=self._last_package_w)
+            self._account_tick(dt, breakdown, False)
             remaining -= dt
 
     def run_phase(self, request: PhaseRequest) -> PhaseResult:
@@ -261,30 +322,70 @@ class IntegratedProcessor:
         return result
 
     def _run_phase_inner(self, request: PhaseRequest) -> PhaseResult:
+        # One hot path for both clock modes: phase constants are read
+        # into locals before the loop and the models are called through
+        # bound partials (fast mode wraps them in memos and adds the
+        # macro-step and batch regimes).  Every expression keeps its
+        # operands and their order, so results are bit-identical.
         spec = self.spec
         cost = request.cost
         cpu_region = request.cpu_region
         gpu_region = request.gpu_region
 
-        gpu_present = gpu_region is not None and gpu_region.items_remaining > _DONE_EPS
-        cpu_present = cpu_region is not None and cpu_region.items_remaining > _DONE_EPS
+        # Region progress is read as ``stop_item - _pos``: ``x > eps``
+        # is exactly ``WorkRegion.items_remaining > eps``.
+        gpu_present = (gpu_region is not None
+                       and gpu_region.stop_item - gpu_region._pos > _DONE_EPS)
+        cpu_present = (cpu_region is not None
+                       and cpu_region.stop_item - cpu_region._pos > _DONE_EPS)
         if not gpu_present and not cpu_present:
             raise SimulationError("phase with no work on either device")
-        if request.stop_when_gpu_done and not gpu_present:
+        stop_when_gpu_done = request.stop_when_gpu_done
+        if stop_when_gpu_done and not gpu_present:
             raise SimulationError("stop_when_gpu_done requires a GPU region")
 
+        counters = self.counters
+        msr = self.msr
+        # The phase's CounterDelta is built from these start values
+        # directly (the field-by-field subtraction of
+        # CounterSnapshot.delta, minus two throwaway snapshots).
         start_t = self.now
-        start_counters = self.snapshot_counters()
-        start_energy = self.msr.lifetime_joules
+        start_instructions = counters.instructions_retired
+        start_loadstores = counters.loadstore_instructions
+        start_l3_misses = counters.l3_misses
+        start_cpu_items = counters.cpu_items
+        start_gpu_items = counters.gpu_items
+        start_gpu_busy = counters.gpu_busy_time_s
+        start_energy = msr.lifetime_joules
 
         launch_remaining = spec.gpu.kernel_launch_overhead_s if gpu_present else 0.0
-        gpu_dispatch_items = gpu_region.items_remaining if gpu_present else 0.0
-        gpu_running = False
+        # items_remaining, which is this difference when positive.
+        gpu_dispatch_items = (gpu_region.stop_item - gpu_region._pos
+                              if gpu_present else 0.0)
+        cpu_stop = cpu_region.stop_item if cpu_present else 0.0
+        gpu_stop = gpu_region.stop_item if gpu_present else 0.0
         gpu_done_t: Optional[float] = None
         gpu_busy_time = 0.0
         deadline = start_t + request.max_duration_s
         tick = spec.tick_s
+        stretched_tick = tick * 8.0
         fast = self._fast
+        # The proxy thread occupies a hardware context whenever it is
+        # driving the GPU.  With SMT it shares a core with a worker
+        # (mostly-blocked thread, ~15% of a core); without SMT (the
+        # tablet's Atom) it costs a whole core.
+        proxy_cost = 0.15 if spec.cpu.smt_per_core > 1 else 1.0
+        num_cores = spec.cpu.num_cores
+        cores_beside_proxy = max(num_cores - proxy_cost, 1.0)
+        cores_alone = max(num_cores - 0.0, 1.0)
+        cap_w = spec.pcu.package_cap_w
+        rates = partial(compute_rates, spec, cost)
+        if fast:
+            rates = _memoized_rates(rates, self._rates_memo, cost.name)
+        power = self._power
+        pcu = self.pcu
+        st = pcu.state
+        sources = self._event_sources
         # Adaptive ticking: once the PCU has settled (no material
         # frequency movement) the tick stretches up to 8x.  Any event -
         # ramping, launch completion, a device finishing - snaps it
@@ -295,156 +396,141 @@ class IntegratedProcessor:
         stable_ticks = 0
         total_ticks = 0
         macro_steps = 0
-        prev_cpu_freq = self.pcu.state.cpu_freq_hz
-        prev_gpu_freq = self.pcu.state.gpu_freq_hz
+        prev_cpu_freq = st.cpu_freq_hz
+        prev_gpu_freq = st.gpu_freq_hz
 
         while True:
-            cpu_done = (not cpu_present) or cpu_region.items_remaining <= _DONE_EPS
+            now = self.now
+            cpu_done = (not cpu_present
+                        or not cpu_stop - cpu_region._pos > _DONE_EPS)
             gpu_done = (gpu_present and launch_remaining <= 0.0
-                        and gpu_region.items_remaining <= _DONE_EPS)
+                        and not gpu_stop - gpu_region._pos > _DONE_EPS)
             if gpu_done and gpu_done_t is None:
-                gpu_done_t = self.now
-            if request.stop_when_gpu_done:
+                gpu_done_t = now
+            if stop_when_gpu_done:
                 if gpu_done:
                     break
             elif cpu_done and ((not gpu_present) or gpu_done):
                 break
-            if self.now >= deadline:
+            if now >= deadline:
                 raise SimulationError(
                     f"phase exceeded max duration {request.max_duration_s}s "
                     f"(kernel {cost.name})")
 
-            event_horizon = (self._event_horizon() if self._event_sources
-                             else float("inf"))
+            event_horizon = self._event_horizon() if sources else _INF
 
             launching = gpu_present and launch_remaining > 0.0
             gpu_running = gpu_present and not launching and not gpu_done
-            # The proxy thread occupies a hardware context whenever it
-            # is driving the GPU.  With SMT it shares a core with a
-            # worker (mostly-blocked thread, ~15% of a core); without
-            # SMT (the tablet's Atom) it costs a whole core.
-            proxy_busy = launching or gpu_running
-            proxy_cost = 0.15 if spec.cpu.smt_per_core > 1 else 1.0
             cpu_cores = 0.0
-            if cpu_present and not cpu_done:
-                cpu_cores = spec.cpu.num_cores - (proxy_cost if proxy_busy else 0.0)
-                cpu_cores = max(cpu_cores, 1.0)
+            if not cpu_done:
+                cpu_cores = (cores_beside_proxy if launching or gpu_running
+                             else cores_alone)
             cpu_active = cpu_cores > 0
 
             # Preliminary rates at current frequencies, to align the
             # tick with the next completion event.
-            st = self.pcu.state
             pre_cpu_freq = st.cpu_freq_hz
             pre_gpu_freq = st.gpu_freq_hz
             dispatch = gpu_dispatch_items if gpu_running else 0.0
-            if fast:
-                prelim = self._rates_cached(
-                    cost, pre_cpu_freq, pre_gpu_freq, cpu_cores, dispatch,
-                    cpu_active, gpu_running)
-            else:
-                prelim = compute_rates(
-                    spec, cost, pre_cpu_freq, pre_gpu_freq, cpu_cores,
-                    dispatch, cpu_active=cpu_active, gpu_active=gpu_running)
+            prelim = rates(pre_cpu_freq, pre_gpu_freq, cpu_cores, dispatch,
+                           cpu_active, gpu_running)
+            cpu_rate = prelim.cpu_items_per_s
+            gpu_rate = prelim.gpu_items_per_s
 
             # Completion/transition bounds at the current rates: shared
             # by the macro-step gate, the batch plan cap, and the dt
-            # selection below - computed once per tick (they only
-            # depend on region state and ``prelim``, which none of the
-            # consumers mutate before use).
-            t_done_cpu = (cpu_region.time_to_complete(prelim.cpu_items_per_s)
-                          if cpu_cores > 0 and prelim.cpu_items_per_s > 0
-                          else float("inf"))
-            t_done_gpu = (gpu_region.time_to_complete(prelim.gpu_items_per_s)
-                          if gpu_running and prelim.gpu_items_per_s > 0
-                          else float("inf"))
-            t_trans = self.pcu.time_to_next_transition(
-                self.now, cpu_active, gpu_running)
+            # selection below.  (A device that is still running has
+            # work left, so WorkRegion.time_to_complete reduces to
+            # work_remaining / rate here.)
+            t_done_cpu = (cpu_region.work_remaining / cpu_rate
+                          if cpu_cores > 0 and cpu_rate > 0 else _INF)
+            t_done_gpu = (gpu_region.work_remaining / gpu_rate
+                          if gpu_running and gpu_rate > 0 else _INF)
+            t_trans = pcu.time_to_next_transition(now, cpu_active, gpu_running)
+            last_w = self._last_package_w
 
-            # Fast-forward: the PCU is settled and no launch transient
-            # is in flight, so frequencies, rates and power are all
-            # constant until the next event - jump straight to it.
-            if (fast and not launching
-                    and self.pcu.settled(self.now, cpu_active, gpu_running,
-                                         self._last_package_w)):
-                dt_macro = deadline - self.now
-                if t_trans - self.now < dt_macro:
-                    dt_macro = t_trans - self.now
-                if event_horizon - self.now < dt_macro:
-                    dt_macro = event_horizon - self.now
-                if t_done_cpu < dt_macro:
-                    dt_macro = t_done_cpu
-                if t_done_gpu < dt_macro:
-                    dt_macro = t_done_gpu
-                if dt_macro > tick:
-                    breakdown = self._power_cached(prelim, pre_cpu_freq,
-                                                   pre_gpu_freq, cpu_cores,
-                                                   gpu_running)
-                    # Settled implies the previous tick was at or under
-                    # the cap with this same configuration; re-checking
-                    # the span's own power keeps the first tick after a
-                    # transient honest (fall through to exact ticking,
-                    # where cap feedback will engage on schedule).
-                    if breakdown.package_w <= spec.pcu.package_cap_w:
-                        self.pcu.macro_step(self.now, dt_macro, cpu_active,
-                                            gpu_running)
-                        if cpu_active:
-                            done = cpu_region.consume(
-                                prelim.cpu_items_per_s * dt_macro)
-                            self.counters.account_cpu_items(done, cost)
-                        if gpu_running:
-                            done = gpu_region.consume(
-                                prelim.gpu_items_per_s * dt_macro)
-                            self.counters.account_gpu_items(done)
-                            gpu_busy_time += dt_macro
-                        self.counters.account_gpu_busy(gpu_running, dt_macro)
-                        self._account_span(dt_macro, breakdown.package_w,
-                                           breakdown.cpu_w, breakdown.gpu_w,
-                                           breakdown.uncore_w,
-                                           gpu_active=gpu_running)
-                        total_ticks += 1
+            if fast and not launching:
+                # Fast-forward: the PCU is settled and no launch
+                # transient is in flight, so frequencies, rates and
+                # power are all constant until the next event - jump
+                # straight to it.
+                if pcu.settled(now, cpu_active, gpu_running, last_w):
+                    dt_macro = deadline - now
+                    if t_trans - now < dt_macro:
+                        dt_macro = t_trans - now
+                    if event_horizon - now < dt_macro:
+                        dt_macro = event_horizon - now
+                    if t_done_cpu < dt_macro:
+                        dt_macro = t_done_cpu
+                    if t_done_gpu < dt_macro:
+                        dt_macro = t_done_gpu
+                    if dt_macro > tick:
+                        breakdown = power(prelim, pre_cpu_freq, pre_gpu_freq,
+                                          cpu_cores, gpu_running)
+                        # Settled implies the previous tick was at or
+                        # under the cap with this same configuration;
+                        # re-checking the span's own power keeps the
+                        # first tick after a transient honest (fall
+                        # through to exact ticking, where cap feedback
+                        # will engage on schedule).
+                        if breakdown.package_w <= cap_w:
+                            pcu.macro_step(now, dt_macro, cpu_active,
+                                           gpu_running)
+                            if cpu_active:
+                                done = cpu_region.consume(cpu_rate * dt_macro)
+                                counters.account_cpu_items(done, cost)
+                            if gpu_running:
+                                done = gpu_region.consume(gpu_rate * dt_macro)
+                                counters.account_gpu_items(done)
+                                gpu_busy_time += dt_macro
+                            counters.account_gpu_busy(gpu_running, dt_macro)
+                            self._account_span(dt_macro, breakdown,
+                                               gpu_running)
+                            total_ticks += 1
+                            macro_steps += 1
+                            # The macro-step ends at an event, exactly
+                            # where exact mode's event-bounded tick resets
+                            # its stretch - keep the stability state in
+                            # lockstep.
+                            stable_ticks = 0
+                            prev_cpu_freq = pre_cpu_freq
+                            prev_gpu_freq = pre_gpu_freq
+                            continue
+
+                # Batched transient: the span ahead is not settled (a
+                # ramp is in progress) but it is *pre-determined* - no
+                # launch in flight, no GPU activity edge, no cap
+                # throttle armed - so the whole tick/frequency schedule
+                # can be planned on a PCU clone and the expensive
+                # rate/power models evaluated once, vectorized, instead
+                # of once per tick.  Committed ticks are element-wise
+                # bit-identical to scalar ticking.
+                if (st.cap_throttle_hz == 0.0 and last_w <= cap_w
+                        and not pcu.edge_pending(gpu_running)):
+                    # Don't plan (much) past the nearest completion: the
+                    # estimate uses current rates, so it is only a
+                    # planning heuristic - commit-time truncation, not
+                    # this bound, decides what actually executes.
+                    plan_cap = _BATCH_MAX_TICKS
+                    if t_done_cpu != _INF:
+                        plan_cap = min(plan_cap, 2 + int(t_done_cpu / tick))
+                    if t_done_gpu != _INF:
+                        plan_cap = min(plan_cap, 2 + int(t_done_gpu / tick))
+                    advanced = self._transient_batch(
+                        cost, cpu_region, gpu_region, cpu_active, cpu_cores,
+                        gpu_running, gpu_dispatch_items, deadline,
+                        event_horizon, stable_ticks, prev_cpu_freq,
+                        prev_gpu_freq, plan_cap
+                    ) if plan_cap >= _BATCH_MIN_TICKS else None
+                    if advanced is not None:
+                        (n_committed, stable_ticks, prev_cpu_freq,
+                         prev_gpu_freq, span_busy) = advanced
+                        total_ticks += n_committed
                         macro_steps += 1
-                        # The macro-step ends at an event, exactly where
-                        # exact mode's event-bounded tick resets its
-                        # stretch - keep the stability state in lockstep.
-                        stable_ticks = 0
-                        prev_cpu_freq = pre_cpu_freq
-                        prev_gpu_freq = pre_gpu_freq
+                        gpu_busy_time += span_busy
                         continue
 
-            # Batched transient: the span ahead is not settled (a ramp
-            # is in progress) but it is *pre-determined* - no launch in
-            # flight, no GPU activity edge, no cap throttle armed - so
-            # the whole tick/frequency schedule can be planned on a PCU
-            # clone and the expensive rate/power models evaluated once,
-            # vectorized, instead of once per tick.  Committed ticks are
-            # element-wise bit-identical to scalar ticking.
-            if (fast and not launching
-                    and st.cap_throttle_hz == 0.0
-                    and self._last_package_w <= spec.pcu.package_cap_w
-                    and not self.pcu.edge_pending(gpu_running)):
-                # Don't plan (much) past the nearest completion: the
-                # estimate uses current rates, so it is only a planning
-                # heuristic - commit-time truncation, not this bound,
-                # decides what actually executes.
-                plan_cap = _BATCH_MAX_TICKS
-                if t_done_cpu != float("inf"):
-                    plan_cap = min(plan_cap, 2 + int(t_done_cpu / tick))
-                if t_done_gpu != float("inf"):
-                    plan_cap = min(plan_cap, 2 + int(t_done_gpu / tick))
-                advanced = self._transient_batch(
-                    cost, cpu_region, gpu_region, cpu_active, cpu_cores,
-                    gpu_running, gpu_dispatch_items, deadline, event_horizon,
-                    stable_ticks, prev_cpu_freq, prev_gpu_freq,
-                    plan_cap) if plan_cap >= _BATCH_MIN_TICKS else None
-                if advanced is not None:
-                    (n_committed, stable_ticks, prev_cpu_freq,
-                     prev_gpu_freq, span_busy) = advanced
-                    total_ticks += n_committed
-                    macro_steps += 1
-                    gpu_busy_time += span_busy
-                    continue
-
-            dt = tick * (8.0 if stable_ticks > 16 else 1.0)
+            dt = stretched_tick if stable_ticks > 16 else tick
             event_bounded = False
             if launching and launch_remaining < dt:
                 dt = launch_remaining
@@ -455,58 +541,47 @@ class IntegratedProcessor:
             if t_done_gpu < dt:
                 dt = t_done_gpu
                 event_bounded = True
-            if t_trans - self.now < dt:
-                dt = t_trans - self.now
+            if t_trans - now < dt:
+                dt = t_trans - now
                 event_bounded = True
-            if event_horizon - self.now < dt:
-                dt = event_horizon - self.now
+            if event_horizon - now < dt:
+                dt = event_horizon - now
                 event_bounded = True
-            dt = self.pcu.bound_dt(self.now, dt, self._last_package_w)
-            dt = max(dt, _MIN_DT)
+            dt = pcu.bound_dt(now, dt, last_w)
+            if _MIN_DT > dt:
+                dt = _MIN_DT
 
-            cpu_freq, gpu_freq = self.pcu.step(
-                self.now, dt, cpu_active=cpu_active, gpu_active=gpu_running,
-                last_package_power_w=self._last_package_w)
-            freq_moved = (abs(cpu_freq - prev_cpu_freq) > 3e7
-                          or abs(gpu_freq - prev_gpu_freq) > 3e7)
-            prev_cpu_freq = cpu_freq
-            prev_gpu_freq = gpu_freq
-            if freq_moved or event_bounded or launching:
+            cpu_freq, gpu_freq = pcu.step(now, dt, cpu_active, gpu_running,
+                                          last_w)
+            if (abs(cpu_freq - prev_cpu_freq) > 3e7
+                    or abs(gpu_freq - prev_gpu_freq) > 3e7
+                    or event_bounded or launching):
                 stable_ticks = 0
             else:
                 stable_ticks += 1
-            if abs(cpu_freq - pre_cpu_freq) < 1e6 and \
-                    abs(gpu_freq - pre_gpu_freq) < 1e6:
-                rates = prelim
-            elif fast:
-                rates = self._rates_cached(cost, cpu_freq, gpu_freq,
-                                           cpu_cores, dispatch,
-                                           cpu_active, gpu_running)
-            else:
-                rates = compute_rates(
-                    spec, cost, cpu_freq, gpu_freq, cpu_cores, dispatch,
-                    cpu_active=cpu_active, gpu_active=gpu_running)
+            prev_cpu_freq = cpu_freq
+            prev_gpu_freq = gpu_freq
+            if not (abs(cpu_freq - pre_cpu_freq) < 1e6
+                    and abs(gpu_freq - pre_gpu_freq) < 1e6):
+                prelim = rates(cpu_freq, gpu_freq, cpu_cores, dispatch,
+                               cpu_active, gpu_running)
+                cpu_rate = prelim.cpu_items_per_s
+                gpu_rate = prelim.gpu_items_per_s
 
             if cpu_cores > 0:
-                done = cpu_region.consume(rates.cpu_items_per_s * dt)
-                self.counters.account_cpu_items(done, cost)
+                done = cpu_region.consume(cpu_rate * dt)
+                counters.account_cpu_items(done, cost)
             if gpu_running:
-                done = gpu_region.consume(rates.gpu_items_per_s * dt)
-                self.counters.account_gpu_items(done)
+                done = gpu_region.consume(gpu_rate * dt)
+                counters.account_gpu_items(done)
                 gpu_busy_time += dt
             if launching:
                 launch_remaining -= dt
 
-            if fast:
-                breakdown = self._power_cached(rates, cpu_freq, gpu_freq,
-                                               cpu_cores, gpu_running)
-            else:
-                breakdown = package_power(spec, rates, cpu_freq, gpu_freq,
-                                          cpu_cores, gpu_running)
-            self.counters.account_gpu_busy(gpu_running, dt)
-            self._account_tick(dt, breakdown.package_w, breakdown.cpu_w,
-                               breakdown.gpu_w, breakdown.uncore_w,
-                               gpu_active=gpu_running)
+            breakdown = power(prelim, cpu_freq, gpu_freq, cpu_cores,
+                              gpu_running)
+            counters.account_gpu_busy(gpu_running, dt)
+            self._account_tick(dt, breakdown, gpu_running)
             total_ticks += 1
 
         if gpu_present and gpu_done_t is None:
@@ -515,64 +590,32 @@ class IntegratedProcessor:
         self._last_phase_macro_steps = macro_steps
         # The kernel has completed: the GPU busy counter (A26) must
         # read idle, whatever the final tick happened to be doing.
-        self.counters.account_gpu_busy(False, 0.0)
-        end_counters = self.snapshot_counters()
+        counters.account_gpu_busy(False, 0.0)
+        end_t = self.now
+        cpu_items = counters.cpu_items - start_cpu_items
+        gpu_items = counters.gpu_items - start_gpu_items
         return PhaseResult(
             start_t=start_t,
-            end_t=self.now,
-            cpu_items=end_counters.cpu_items - start_counters.cpu_items,
-            gpu_items=end_counters.gpu_items - start_counters.gpu_items,
+            end_t=end_t,
+            cpu_items=cpu_items,
+            gpu_items=gpu_items,
             gpu_time_s=(gpu_done_t - start_t) if gpu_present else 0.0,
             gpu_busy_time_s=gpu_busy_time,
-            counters=start_counters.delta(end_counters),
-            energy_j=self.msr.lifetime_joules - start_energy,
+            counters=CounterDelta(
+                elapsed_s=end_t - start_t,
+                instructions_retired=(counters.instructions_retired
+                                      - start_instructions),
+                loadstore_instructions=(counters.loadstore_instructions
+                                        - start_loadstores),
+                l3_misses=counters.l3_misses - start_l3_misses,
+                cpu_items=cpu_items,
+                gpu_items=gpu_items,
+                gpu_busy_time_s=counters.gpu_busy_time_s - start_gpu_busy,
+            ),
+            energy_j=msr.lifetime_joules - start_energy,
         )
 
     # -- internals ---------------------------------------------------------------
-
-    def _rates_cached(self, cost: KernelCostModel, cpu_freq: float,
-                      gpu_freq: float, cpu_cores: float, dispatch: float,
-                      cpu_active: bool, gpu_active: bool) -> DeviceRates:
-        """Memoized :func:`compute_rates` (fast clock mode only).
-
-        Keyed on every model input; cache hits return the same result
-        object a fresh evaluation would produce bit-for-bit, so this is
-        invisible to fast-vs-exact equivalence.  Kernel cost models are
-        keyed by name: within one run a name denotes one parameter set.
-        """
-        key = (cost.name, cpu_freq, gpu_freq, cpu_cores, dispatch,
-               cpu_active, gpu_active)
-        rates = self._rates_memo.get(key)
-        if rates is None:
-            rates = compute_rates(self.spec, cost, cpu_freq, gpu_freq,
-                                  cpu_cores, dispatch, cpu_active=cpu_active,
-                                  gpu_active=gpu_active)
-            if len(self._rates_memo) >= _MEMO_MAX_ENTRIES:
-                self._rates_memo.clear()
-            self._rates_memo[key] = rates
-        return rates
-
-    def _power_cached(self, rates: DeviceRates, cpu_freq: float,
-                      gpu_freq: float, cpu_cores: float, gpu_active: bool):
-        """Memoized :func:`package_power` (fast clock mode only).
-
-        The key carries exactly the fields :func:`package_power` reads
-        from ``rates`` (stall fractions and traffic) plus the explicit
-        arguments, so a hit is bit-identical to a fresh evaluation.
-        """
-        key = (rates.cpu_memory_stall_fraction,
-               rates.gpu_memory_stall_fraction,
-               rates.cpu_traffic_bytes_per_s,
-               rates.gpu_traffic_bytes_per_s,
-               cpu_freq, gpu_freq, cpu_cores, gpu_active)
-        breakdown = self._power_memo.get(key)
-        if breakdown is None:
-            breakdown = package_power(self.spec, rates, cpu_freq, gpu_freq,
-                                      cpu_cores, gpu_active)
-            if len(self._power_memo) >= _MEMO_MAX_ENTRIES:
-                self._power_memo.clear()
-            self._power_memo[key] = breakdown
-        return breakdown
 
     def _transient_batch(self, cost: KernelCostModel,
                          cpu_region: Optional[WorkRegion],
@@ -806,29 +849,36 @@ class IntegratedProcessor:
         self.now = nows[k] + dts[k]
         return n_commit, stables[k], post_c[k], post_g[k], span_busy
 
-    def _account_tick(self, dt: float, package_w: float, cpu_w: float,
-                      gpu_w: float, uncore_w: float, gpu_active: bool) -> None:
+    def _account_tick(self, dt: float, breakdown: PowerBreakdown,
+                      gpu_active: bool) -> None:
+        package_w = breakdown.package_w
         self.msr.deposit(package_w * dt)
         self._last_package_w = package_w
-        st = self.pcu.state
-        self.trace.append(TraceSample(
-            t=self.now, dt=dt, package_w=package_w, cpu_w=cpu_w, gpu_w=gpu_w,
-            uncore_w=uncore_w, cpu_freq_hz=st.cpu_freq_hz,
-            gpu_freq_hz=st.gpu_freq_hz, gpu_active=gpu_active))
+        # A TraceSample only when someone keeps it.
+        if self.trace.enabled:
+            st = self.pcu.state
+            self.trace.append(TraceSample(
+                t=self.now, dt=dt, package_w=package_w, cpu_w=breakdown.cpu_w,
+                gpu_w=breakdown.gpu_w, uncore_w=breakdown.uncore_w,
+                cpu_freq_hz=st.cpu_freq_hz, gpu_freq_hz=st.gpu_freq_hz,
+                gpu_active=gpu_active))
         self.now += dt
 
-    def _account_span(self, dt: float, package_w: float, cpu_w: float,
-                      gpu_w: float, uncore_w: float, gpu_active: bool) -> None:
+    def _account_span(self, dt: float, breakdown: PowerBreakdown,
+                      gpu_active: bool) -> None:
         """Account one constant-power macro-step (the bulk twin of
-        :meth:`_account_tick`): one multi-wrap-safe MSR deposit, one
+        :meth:`_account_tick`): one MSR deposit (the accumulator is
+        unwrapped, so any number of register wraps is exact), one
         decimated run of synthesized trace samples."""
-        self.msr.deposit_power(package_w, dt)
+        package_w = breakdown.package_w
+        self.msr.deposit(package_w * dt)
         self._last_package_w = package_w
         if self.trace.enabled:
             st = self.pcu.state
             self.trace.append_span(
-                t=self.now, dt=dt, package_w=package_w, cpu_w=cpu_w,
-                gpu_w=gpu_w, uncore_w=uncore_w, cpu_freq_hz=st.cpu_freq_hz,
-                gpu_freq_hz=st.gpu_freq_hz, gpu_active=gpu_active,
+                t=self.now, dt=dt, package_w=package_w, cpu_w=breakdown.cpu_w,
+                gpu_w=breakdown.gpu_w, uncore_w=breakdown.uncore_w,
+                cpu_freq_hz=st.cpu_freq_hz, gpu_freq_hz=st.gpu_freq_hz,
+                gpu_active=gpu_active,
                 max_sample_dt=SPAN_DECIMATION_TICKS * self.spec.tick_s)
         self.now += dt

@@ -1,8 +1,8 @@
 """Cross-run vectorized-core sharing for ganged simulations.
 
 The fast clock mode memoizes the expensive roofline/power
-model evaluations (``IntegratedProcessor._rates_cached`` /
-``_power_cached``).  Those memos are keyed on *every* model input and
+model evaluations (``repro.soc.simulator._memoized_rates`` /
+``_memoized_power``).  Those memos are keyed on *every* model input and
 their values are bit-identical to fresh evaluation, so two simulations
 of the **same platform spec** can safely share one memo: the desktop
 Table-1 suite replays the same launch/ramp transients across runs, and
@@ -18,9 +18,10 @@ starting cold.
 
 Sharing is keyed on the platform spec **ignoring clock mode**: it
 selects *how* the simulator steps, not what the models compute, so
-exact and fast runs of one platform map to the same entries.  Exact-mode processors never consult the memos at
-all (their tick loop calls the models directly), so adoption never
-perturbs byte-stable fingerprints.
+exact and fast runs of one platform map to the same entries.
+Exact-mode processors never consult the memos at all (their tick loop
+calls the models directly), so adoption never perturbs byte-stable
+fingerprints.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ the multiplier field.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,9 @@ from repro.soc.cost_model import KernelCostModel
 
 #: Resolution of the multiplier field across the whole iteration space.
 PROFILE_RESOLUTION = 2048
+
+#: Items-remaining at or below which a region counts as done.
+_DONE_EPS = 1e-9
 
 
 def _smooth_field(rng: np.random.Generator, resolution: int, scale: float) -> np.ndarray:
@@ -73,7 +77,13 @@ class CostProfile:
             multipliers /= multipliers.mean()
         self.multipliers = multipliers
         # Cumulative integral of the multiplier over [0, u]; cum[-1] == 1.
-        self._cum = np.concatenate(([0.0], np.cumsum(multipliers))) / resolution
+        # Held as a list of the array's own numpy scalars, so lookups
+        # are list indexing yet every value (and its type, which reaches
+        # ``repr``-based fingerprints) is what indexing the array gives;
+        # ``_cum_keys`` is the same grid as Python floats, for bisect.
+        cum = np.concatenate(([0.0], np.cumsum(multipliers))) / resolution
+        self._cum = list(cum)
+        self._cum_keys = cum.tolist()
         self._uniform = cv <= 0.0
 
     def integral(self, u0: float, u1: float) -> float:
@@ -92,12 +102,17 @@ class CostProfile:
 
     def _cum_at(self, u: float) -> float:
         """Linearly-interpolated cumulative integral at ``u``."""
-        x = min(max(u, 0.0), 1.0) * self.resolution
+        # min(max(u, 0.0), 1.0) without the calls: same comparisons,
+        # same object returned.
+        u = 0.0 if 0.0 > u else u
+        x = (1.0 if 1.0 < u else u) * self.resolution
         idx = int(x)
+        cum = self._cum
         if idx >= self.resolution:
-            return self._cum[-1]
+            return cum[-1]
         frac = x - idx
-        return self._cum[idx] + frac * (self._cum[idx + 1] - self._cum[idx])
+        lo = cum[idx]
+        return lo + frac * (cum[idx + 1] - lo)
 
     def advance(self, u0: float, work: float) -> float:
         """Position u1 >= u0 such that ``integral(u0, u1) == work``.
@@ -107,14 +122,16 @@ class CostProfile:
         """
         if self._uniform:
             return min(1.0, u0 + work)
+        cum = self._cum
         target = self._cum_at(u0) + work
-        if target >= self._cum[-1]:
+        if target >= cum[-1]:
             return 1.0
-        # searchsorted over the cumulative grid, then linear interp.
-        idx = int(np.searchsorted(self._cum, target, side="right")) - 1
+        # Binary search over the (non-decreasing) cumulative grid - the
+        # index np.searchsorted(side="right") gives - then linear interp.
+        idx = bisect_right(self._cum_keys, float(target)) - 1
         idx = min(max(idx, 0), self.resolution - 1)
-        seg_lo = self._cum[idx]
-        seg_hi = self._cum[idx + 1]
+        seg_lo = cum[idx]
+        seg_hi = cum[idx + 1]
         frac = 0.0 if seg_hi <= seg_lo else (target - seg_lo) / (seg_hi - seg_lo)
         # The cum -> position roundtrip can lose an ulp; advancing by
         # non-negative work must never move backwards.
@@ -143,12 +160,6 @@ class WorkRegion:
                 f"WorkRegion: bad item range [{self.start_item}, {self.stop_item}) "
                 f"of {self.n_total}")
         self._pos = self.start_item
-        # work_remaining is queried several times per simulator tick at
-        # an unchanged position (completion checks, step bounds, macro
-        # planning); cache the last (position, value) pair.  The cached
-        # value is the one the fresh computation produced, so this is
-        # invisible to results.
-        self._wr_cache: "tuple[float, float] | None" = None
 
     @classmethod
     def for_span(cls, profile: CostProfile, n_total: float,
@@ -173,6 +184,10 @@ class WorkRegion:
     def items_done(self) -> float:
         return self._pos - self.start_item
 
+    # The simulator reads progress as ``stop_item - _pos`` compares:
+    # ``items_remaining > eps`` is exactly ``stop_item - _pos > eps``
+    # (for any eps >= 0, NaN included), and ``is_done`` its negation.
+
     @property
     def items_remaining(self) -> float:
         return max(0.0, self.stop_item - self._pos)
@@ -180,20 +195,16 @@ class WorkRegion:
     @property
     def work_remaining(self) -> float:
         """Remaining work in average-item units."""
-        if self.items_remaining <= 0:
+        pos = self._pos
+        if not self.stop_item - pos > 0.0:
             return 0.0
-        cached = self._wr_cache
-        if cached is not None and cached[0] == self._pos:
-            return cached[1]
-        u0 = self._pos / self.n_total
-        u1 = self.stop_item / self.n_total
-        remaining = self.profile.integral(u0, u1) * self.n_total
-        self._wr_cache = (self._pos, remaining)
-        return remaining
+        n_total = self.n_total
+        return (self.profile.integral(pos / n_total, self.stop_item / n_total)
+                * n_total)
 
     @property
     def is_done(self) -> bool:
-        return self.items_remaining <= 1e-9
+        return not self.stop_item - self._pos > _DONE_EPS
 
     def mean_multiplier_remaining(self) -> float:
         """Average per-item cost multiplier over the unprocessed slice."""
@@ -213,20 +224,20 @@ class WorkRegion:
         """
         if work_capacity < 0:
             raise SimulationError("consume: negative work capacity")
-        if self.is_done or work_capacity == 0:
+        pos = self._pos
+        stop = self.stop_item
+        if not stop - pos > _DONE_EPS or work_capacity == 0:
             return 0.0
-        u0 = self._pos / self.n_total
-        u_stop = self.stop_item / self.n_total
-        u1 = self.profile.advance(u0, work_capacity / self.n_total)
-        u1 = min(u1, u_stop)
-        new_pos = u1 * self.n_total
-        items = new_pos - self._pos
+        n_total = self.n_total
+        u_stop = stop / n_total
+        u1 = self.profile.advance(pos / n_total, work_capacity / n_total)
+        new_pos = (u_stop if u_stop < u1 else u1) * n_total
         self._pos = new_pos
-        return items
+        return new_pos - pos
 
     def time_to_complete(self, item_rate: float) -> float:
         """Time for a device at ``item_rate`` (avg items/s) to finish."""
-        if self.is_done:
+        if not self.stop_item - self._pos > _DONE_EPS:
             return 0.0
         if item_rate <= 0:
             return float("inf")

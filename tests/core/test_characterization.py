@@ -1,5 +1,9 @@
 """Platform power characterization: sweeps, fits, caching."""
 
+import hashlib
+import json
+import math
+
 import pytest
 
 from repro.core.categories import (
@@ -13,7 +17,9 @@ from repro.core.characterization import (
     PlatformCharacterization,
     PowerCharacterizer,
 )
-from repro.errors import CharacterizationError
+from repro.errors import CharacterizationError, HarnessError
+from repro.harness.engine import KIND_CHAR_SWEEP, RunSpec
+from repro.harness.suite import get_characterization
 from repro.soc.cost_model import KernelCostModel
 from repro.soc.simulator import IntegratedProcessor
 from repro.workloads.microbench import standard_microbenches
@@ -122,3 +128,83 @@ class TestSerialization:
             for alpha in (0.0, 0.3, 0.8, 1.0):
                 assert loaded.power(alpha) == pytest.approx(
                     original.power(alpha))
+
+
+#: Steps that cannot grid alpha in [0, 1]: not finite, outside (0, 1],
+#: absurdly fine, or not dividing 1 (0.3 would fail only in the fit,
+#: after all eight sweeps; 0.12 would silently never measure alpha=1).
+BAD_STEPS = [math.nan, math.inf, 0.0, -0.1, 1.5, 1e-300, 0.3, 0.12]
+GOOD_STEPS = [0.05, 0.1, 0.25, 0.5]
+
+
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Any measurement fails loudly: validation must come first."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated before validating sweep_step")
+    monkeypatch.setattr(PowerCharacterizer, "_measure", refuse)
+
+
+@pytest.mark.usefixtures("no_simulation")
+class TestSweepStepValidation:
+    @pytest.mark.parametrize("step", BAD_STEPS)
+    def test_factory_path_rejects(self, desktop, step):
+        with pytest.raises(CharacterizationError):
+            PowerCharacterizer(
+                processor_factory=lambda: IntegratedProcessor(desktop),
+                microbenches=[one_bench()], sweep_step=step)
+
+    @pytest.mark.parametrize("step", BAD_STEPS)
+    def test_spec_path_rejects(self, desktop, step):
+        with pytest.raises(CharacterizationError):
+            PowerCharacterizer(spec=desktop,
+                               microbenches=standard_microbenches(),
+                               sweep_step=step)
+
+    @pytest.mark.parametrize("step", BAD_STEPS)
+    def test_get_characterization_rejects(self, desktop, step):
+        with pytest.raises(CharacterizationError):
+            get_characterization(desktop, sweep_step=step)
+
+    @pytest.mark.parametrize("step", BAD_STEPS)
+    def test_char_sweep_runspec_rejects(self, desktop, step):
+        with pytest.raises(HarnessError):
+            RunSpec(platform=desktop, kind=KIND_CHAR_SWEEP,
+                    workload="C-SS", sweep_step=step,
+                    microbench=one_bench())
+
+    @pytest.mark.parametrize("step", GOOD_STEPS)
+    def test_dividing_steps_accepted(self, desktop, step):
+        characterizer = PowerCharacterizer(
+            spec=desktop, microbenches=[one_bench()], sweep_step=step)
+        alphas = characterizer._sweep_alphas()
+        assert alphas[0] == 0.0 and alphas[-1] == 1.0
+        RunSpec(platform=desktop, kind=KIND_CHAR_SWEEP, workload="C-SS",
+                sweep_step=step, microbench=one_bench())
+
+
+def _sweep_points_digest(characterization: PlatformCharacterization) -> str:
+    """sha256 of every curve's measured sweep points, in category order.
+
+    The points, not the fitted coefficients: the fit goes through the
+    host's LAPACK, the measurements only through the simulator.
+    """
+    payload = [[category.short_code,
+                list(characterization.curve_for(category).sample_alphas),
+                list(characterization.curve_for(category).sample_powers)]
+               for category in all_categories()]
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+class TestTableGPin:
+    """Table G's measurements, bit for bit (recorded before the
+    simulator's hot path was restructured; any drift is a semantics
+    change of the exact clock mode)."""
+
+    def test_desktop_sweep_points(self, desktop_characterization):
+        assert _sweep_points_digest(desktop_characterization) == (
+            "5021eaef9686ebedb03d24280dfc7a58de76c4c25c8952ba32c5afaed208c8f8")
+
+    def test_tablet_sweep_points(self, tablet_characterization):
+        assert _sweep_points_digest(tablet_characterization) == (
+            "774e3301336e4d4acc7c03cb2808aa0ba2b374e9010b84a71e9513db79656385")
