@@ -4,23 +4,43 @@ Each ablation reruns EAS with one design knob changed and reports mean
 Oracle-relative EDP efficiency over a representative workload subset
 (one regular compute-bound, one short-kernel, one irregular
 memory-bound) on the desktop.  Alpha sweeps are shared with the figure
-benchmarks through :mod:`repro.harness.figures`' cache.
+benchmarks through :mod:`repro.harness.figures`' cache;
+:func:`local_sweep` sweeps workloads no ``RunSpec`` can describe.
 """
 
 from typing import Dict, Optional, Sequence
 
+from repro.core.baselines import StaticAlphaScheduler
 from repro.core.characterization import PlatformCharacterization
 from repro.core.metrics import EDP, EnergyMetric
 from repro.core.scheduler import SchedulerConfig, EnergyAwareScheduler
 from repro.harness.experiment import run_application
 from repro.harness.figures import _cached_sweep
-from repro.harness.suite import get_characterization
-from repro.soc.spec import haswell_desktop
+from repro.harness.suite import (
+    ORACLE_ALPHA_STEP,
+    AlphaSweep,
+    _sweep_grid,
+    get_characterization,
+)
+from repro.soc.spec import PlatformSpec, haswell_desktop
+from repro.workloads.base import Workload
 from repro.workloads.registry import workload_by_abbrev
 
 #: Representative subset: regular compute (NB), short-kernel regular
 #: (BS), irregular memory-bound graph (CC).
 ABLATION_WORKLOADS = ("NB", "BS", "CC")
+
+
+def local_sweep(spec: PlatformSpec, workload: Workload) -> AlphaSweep:
+    """Oracle sweep of a reseeded or synthetic workload: one in-process
+    :func:`run_application` per static alpha on the 0.1 grid (the
+    engine's specs carry registry workloads only)."""
+    alphas = _sweep_grid(ORACLE_ALPHA_STEP)
+    runs = [run_application(spec, workload, StaticAlphaScheduler(alpha=a),
+                            strategy_name=f"static-{a:.2f}")
+            for a in alphas]
+    return AlphaSweep(platform=spec.name, workload=workload.abbrev,
+                      alphas=alphas, runs=runs)
 
 
 def eas_efficiency(workload_abbrev: str,

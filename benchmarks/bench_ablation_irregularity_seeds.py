@@ -11,10 +11,12 @@ on one lucky field.
 from repro.core.metrics import EDP
 from repro.core.scheduler import EnergyAwareScheduler
 from repro.harness.experiment import run_application
-from repro.harness.suite import get_characterization, sweep_alphas
+from repro.harness.suite import get_characterization
 from repro.soc.cost_model import KernelCostModel
 from repro.soc.spec import haswell_desktop
 from repro.workloads.connected_components import ConnectedComponents
+
+from benchmarks._ablation_common import local_sweep
 
 SEEDS = (3, 101, 202, 303)
 
@@ -38,7 +40,7 @@ def test_ablation_irregularity_seeds(benchmark):
         efficiencies = {}
         for seed in SEEDS:
             workload = ReseededCC(seed)
-            sweep = sweep_alphas(spec, workload)
+            sweep = local_sweep(spec, workload)
             scheduler = EnergyAwareScheduler(characterization, EDP)
             eas = run_application(spec, workload, scheduler, "EAS")
             oracle = sweep.oracle(EDP).metric_value(EDP)

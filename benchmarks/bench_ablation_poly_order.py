@@ -9,7 +9,6 @@ as the crude fits.
 
 from repro.core.categories import all_categories
 from repro.core.characterization import PowerCharacterizer
-from repro.soc.simulator import IntegratedProcessor
 from repro.soc.spec import haswell_desktop
 from repro.workloads.microbench import standard_microbenches
 
@@ -19,8 +18,7 @@ from benchmarks._ablation_common import mean_efficiency
 def characterize(order):
     spec = haswell_desktop()
     characterizer = PowerCharacterizer(
-        processor_factory=lambda: IntegratedProcessor(spec),
-        microbenches=standard_microbenches(), fit_order=order)
+        spec=spec, microbenches=standard_microbenches(), fit_order=order)
     return characterizer.characterize()
 
 

@@ -10,9 +10,11 @@ and measures EAS's Oracle-relative EDP efficiency across them.
 from repro.core.metrics import EDP
 from repro.core.scheduler import EnergyAwareScheduler
 from repro.harness.experiment import run_application
-from repro.harness.suite import get_characterization, sweep_alphas
+from repro.harness.suite import get_characterization
 from repro.soc.spec import haswell_desktop
 from repro.workloads.synthetic import generate_suite
+
+from benchmarks._ablation_common import local_sweep
 
 SUITE_SIZE = 12
 
@@ -25,7 +27,7 @@ def test_extension_synthetic_suite(benchmark):
     def run():
         efficiencies = {}
         for workload in suite:
-            sweep = sweep_alphas(spec, workload)
+            sweep = local_sweep(spec, workload)
             scheduler = EnergyAwareScheduler(characterization, EDP)
             eas = run_application(spec, workload, scheduler, "EAS")
             oracle = sweep.oracle(EDP).metric_value(EDP)

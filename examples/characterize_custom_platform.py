@@ -16,7 +16,6 @@ from repro.core.metrics import EDP
 from repro.core.scheduler import EnergyAwareScheduler
 from repro.harness.experiment import run_application
 from repro.harness.report import heading
-from repro.soc.simulator import IntegratedProcessor
 from repro.soc.spec import CpuSpec, GpuSpec, MemorySpec, PcuSpec, PlatformSpec
 from repro.units import gb_per_s, ghz, ms
 from repro.workloads.microbench import standard_microbenches
@@ -66,8 +65,7 @@ def main() -> None:
     print(heading(f"One-time characterization of {platform.name}"))
 
     characterizer = PowerCharacterizer(
-        processor_factory=lambda: IntegratedProcessor(platform),
-        microbenches=standard_microbenches(), sweep_step=0.1)
+        spec=platform, microbenches=standard_microbenches(), sweep_step=0.1)
     characterization = characterizer.characterize()
 
     for category in all_categories():

@@ -18,13 +18,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.categories import WorkloadCategory, all_categories, category_from_codes
 from repro.core.power_curve import DEFAULT_ORDER, PowerCurve, fit_power_curve
 from repro.errors import CharacterizationError
 from repro.soc.cost_model import KernelCostModel
 from repro.soc.simulator import IntegratedProcessor, PhaseRequest
+from repro.soc.spec import PlatformSpec
 from repro.soc.work import CostProfile, WorkRegion, split_for_offload
 
 #: Default sweep step; the paper's Figs. 5-6 show dense sweeps and a
@@ -144,22 +145,54 @@ class SweepPoint:
     time_s: float
 
 
+def offload_phase(profile: CostProfile, n_items: float,
+                  alpha: float) -> PhaseRequest:
+    """One phase of ``n_items`` with fraction ``alpha`` on the GPU:
+    CPU-alone at ``alpha <= 0``, GPU-alone at ``alpha >= 1``."""
+    if alpha <= 0.0 or alpha >= 1.0:
+        region = WorkRegion.for_span(profile, n_items, 0.0, n_items)
+        gpu_region, cpu_region = ((region, None) if alpha >= 1.0
+                                  else (None, region))
+    else:
+        gpu_region, cpu_region = split_for_offload(
+            profile, n_items, 0.0, n_items, alpha)
+    return PhaseRequest(cost=profile.cost_model, cpu_region=cpu_region,
+                        gpu_region=gpu_region)
+
+
+def measure_power(spec: PlatformSpec, cost: KernelCostModel, n_items: float,
+                  alpha: float, repetitions: int = 1) -> SweepPoint:
+    """Run a micro-benchmark at ``alpha`` on a fresh ``spec`` processor.
+
+    Average package power comes from the energy MSR over one window of
+    ``repetitions`` back-to-back executions (see
+    :class:`CharacterizationMicrobench.repetitions`).
+    """
+    processor = IntegratedProcessor(spec)
+    profile = CostProfile(cost)
+    t0 = processor.now
+    msr0 = processor.read_energy_msr()
+    for _ in range(max(1, repetitions)):
+        processor.run_phase(offload_phase(profile, n_items, alpha))
+    msr1 = processor.read_energy_msr()
+    elapsed = processor.now - t0
+    if elapsed <= 0:
+        raise CharacterizationError("measurement window has zero length")
+    energy = processor.energy_joules_between(msr0, msr1)
+    return SweepPoint(alpha=alpha, power_w=energy / elapsed,
+                      time_s=elapsed / max(1, repetitions))
+
+
 class PowerCharacterizer:
     """Runs the eight-microbenchmark power characterization."""
 
-    def __init__(self,
-                 processor_factory: Optional[
-                     Callable[[], IntegratedProcessor]] = None,
+    def __init__(self, spec: PlatformSpec,
                  microbenches: Sequence[CharacterizationMicrobench] = (),
                  sweep_step: float = DEFAULT_SWEEP_STEP,
-                 fit_order: int = DEFAULT_ORDER,
-                 spec=None) -> None:
-        """``spec`` (a :class:`~repro.soc.spec.PlatformSpec`) is the
-        declarative alternative to ``processor_factory``: it makes the
-        characterizer picklable and lets :meth:`characterize` fan its
-        per-category sweeps out through an execution engine.  Exactly
-        the factory ``lambda: IntegratedProcessor(spec)`` is implied.
-        """
+                 fit_order: int = DEFAULT_ORDER) -> None:
+        """``spec`` names the platform; the characterizer is picklable
+        and :meth:`characterize` fans its per-category sweeps out
+        through an execution engine."""
         if not microbenches:
             raise CharacterizationError("no micro-benchmarks supplied")
         problem = sweep_step_problem(sweep_step)
@@ -171,18 +204,10 @@ class PowerCharacterizer:
                 raise CharacterizationError(
                     f"duplicate micro-benchmark for category {mb.category}")
             seen.add(mb.category)
-        if processor_factory is None:
-            if spec is None:
-                raise CharacterizationError(
-                    "need a processor_factory or a platform spec")
-            # Characterization is calibration: Table G must come out
-            # identical whatever clock mode the experiments then run
-            # under, so sweeps are pinned to the exact tick loop.
-            # (Callers supplying a processor_factory keep full control.)
-            spec = replace(spec, tick_mode="exact")
-            processor_factory = lambda: IntegratedProcessor(spec)  # noqa: E731
-        self.processor_factory = processor_factory
-        self.spec = spec
+        # Characterization is calibration: Table G must come out
+        # identical whatever clock mode the experiments then run under,
+        # so sweeps are pinned to the exact tick loop.
+        self.spec = replace(spec, tick_mode="exact")
         self.microbenches = list(microbenches)
         self.sweep_step = sweep_step
         self.fit_order = fit_order
@@ -192,44 +217,34 @@ class PowerCharacterizer:
     def characterize(self, engine=None) -> PlatformCharacterization:
         """Run every sweep and fit every curve.
 
-        A characterizer built from a declarative ``spec`` sweeps through
-        an :class:`~repro.harness.engine.ExecutionEngine` (``engine``,
-        else the run's default), parallel and memoized like any spec; a
-        ``processor_factory`` one sweeps inline.  Fits always happen
-        here.  Measurements are deterministic, so both paths produce
-        bit-identical curves.
+        The sweeps run as one batch of ``char-sweep`` specs on an
+        :class:`~repro.harness.engine.ExecutionEngine` (``engine``, else
+        the run's default), parallel and memoized like any spec; the
+        fits happen here.
         """
-        spec_name = (self.spec.name if self.spec is not None
-                     else self.processor_factory().spec.name)
-        result = PlatformCharacterization(platform_name=spec_name)
-        per_bench = self._sweep_all(engine)
-        for bench, points in zip(self.microbenches, per_bench):
-            curve = fit_power_curve(
-                [p.alpha for p in points],
-                [p.power_w for p in points],
-                order=self.fit_order,
-                label=bench.category.short_code)
-            result.curves[bench.category] = curve
-        return result
-
-    def _sweep_all(self, engine) -> List[List[SweepPoint]]:
-        """All sweeps: through the engine when built from a spec."""
-        if self.spec is None:
-            return [self.sweep(bench) for bench in self.microbenches]
         from repro.harness.engine import KIND_CHAR_SWEEP, RunSpec, get_default_engine
 
         specs = [RunSpec(platform=self.spec, kind=KIND_CHAR_SWEEP,
                          workload=bench.category.short_code,
                          sweep_step=self.sweep_step, microbench=bench)
                  for bench in self.microbenches]
-        engine = engine or get_default_engine()
-        return [result.payload for result in engine.run_batch(specs)]
+        results = (engine or get_default_engine()).run_batch(specs)
+        characterization = PlatformCharacterization(
+            platform_name=self.spec.name)
+        for bench, result in zip(self.microbenches, results):
+            points = result.payload
+            characterization.curves[bench.category] = fit_power_curve(
+                [p.alpha for p in points],
+                [p.power_w for p in points],
+                order=self.fit_order,
+                label=bench.category.short_code)
+        return characterization
 
     def sweep(self, bench: CharacterizationMicrobench) -> List[SweepPoint]:
         """Measure average package power across the alpha grid."""
         n_items = self._calibrate_items(bench)
         alphas = self._sweep_alphas()
-        return [self._measure(bench.cost, n_items, alpha,
+        return [measure_power(self.spec, bench.cost, n_items, alpha,
                               repetitions=bench.repetitions)
                 for alpha in alphas]
 
@@ -241,42 +256,9 @@ class PowerCharacterizer:
 
     def _calibrate_items(self, bench: CharacterizationMicrobench) -> float:
         """Scale the iteration count to hit the CPU-alone time target."""
-        probe_time = self._measure(bench.cost, _PROBE_ITEMS, 0.0).time_s
+        probe_time = measure_power(self.spec, bench.cost, _PROBE_ITEMS,
+                                   0.0).time_s
         if probe_time <= 0:
             raise CharacterizationError(
                 f"probe run of {bench.category} took no time")
         return max(_PROBE_ITEMS * bench.cpu_target_s / probe_time, 1000.0)
-
-    def _measure(self, cost: KernelCostModel, n_items: float, alpha: float,
-                 repetitions: int = 1) -> SweepPoint:
-        """Run the micro-benchmark at ``alpha`` on a fresh processor.
-
-        ``repetitions`` back-to-back executions are measured as one
-        window (see :class:`CharacterizationMicrobench.repetitions`).
-        """
-        processor = self.processor_factory()
-        profile = CostProfile(cost)
-        t0 = processor.now
-        msr0 = processor.read_energy_msr()
-        for _ in range(max(1, repetitions)):
-            if alpha <= 0.0:
-                region = WorkRegion.for_span(profile, n_items, 0.0, n_items)
-                request = PhaseRequest(cost=cost, cpu_region=region,
-                                       gpu_region=None)
-            elif alpha >= 1.0:
-                region = WorkRegion.for_span(profile, n_items, 0.0, n_items)
-                request = PhaseRequest(cost=cost, cpu_region=None,
-                                       gpu_region=region)
-            else:
-                gpu_region, cpu_region = split_for_offload(
-                    profile, n_items, 0.0, n_items, alpha)
-                request = PhaseRequest(cost=cost, cpu_region=cpu_region,
-                                       gpu_region=gpu_region)
-            processor.run_phase(request)
-        msr1 = processor.read_energy_msr()
-        elapsed = processor.now - t0
-        if elapsed <= 0:
-            raise CharacterizationError("measurement window has zero length")
-        energy = processor.energy_joules_between(msr0, msr1)
-        return SweepPoint(alpha=alpha, power_w=energy / elapsed,
-                          time_s=elapsed / max(1, repetitions))

@@ -36,7 +36,7 @@ MetricFn = Callable[[float, float], float]
 #: Names reserved by the standard metrics below.  A ``custom_fn``
 #: metric must not reuse one: the name is the cache/spec identity, and
 #: a custom "edp" would silently alias the standard EDP in
-#: ``standard_metric_name`` lookups and engine cache keys.
+#: ``SchedulerSpec.eas`` and engine cache keys.
 _STANDARD_NAMES = ("energy", "edp", "ed2")
 
 

@@ -31,7 +31,6 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.baselines import CpuOnlyScheduler
 from repro.core.metrics import EDP, EnergyMetric
 from repro.core.scheduler import EnergyAwareScheduler, SchedulerConfig
 from repro.errors import ReproError
@@ -299,8 +298,11 @@ def run_chaos_campaign(spec: Optional[PlatformSpec] = None,
     Fully deterministic given ``seed``: per-cell fault streams are
     derived via :func:`cell_seed`, and every reported quantity comes
     from the deterministic simulation - which is why the whole grid
-    (clean CPU baselines + cells) can fan out through the execution
+    (clean CPU baselines + cells) runs as one batch on the execution
     ``engine`` (default: the session's) with unchanged fingerprints.
+    Registry workloads and metrics and a plain
+    :class:`SchedulerConfig` only: anything else raises
+    :class:`~repro.errors.HarnessError` before any cell runs.
     """
     from repro.harness.engine import (
         KIND_CHAOS_BASELINE,
@@ -308,70 +310,31 @@ def run_chaos_campaign(spec: Optional[PlatformSpec] = None,
         RunSpec,
         SchedulerSpec,
         get_default_engine,
-        plain_scheduler_config,
-        reconstructible_workload,
-        standard_metric_name,
+        spec_workload,
     )
 
     spec = spec or haswell_desktop(tick_mode=tick_mode)
     if workloads is None:
         workloads = [workload_by_abbrev(a) for a in DEFAULT_WORKLOADS]
-    if engine is None:
-        engine = get_default_engine()
-
-    engine_ok = (standard_metric_name(metric) is not None
-                 and plain_scheduler_config(eas_config)
-                 and all(reconstructible_workload(w) for w in workloads))
-    if engine_ok:
-        eas = SchedulerSpec.eas(metric, eas_config)
-        batch = [RunSpec(platform=spec, workload=w.abbrev,
-                         kind=KIND_CHAOS_BASELINE) for w in workloads]
-        batch.extend(
-            RunSpec(platform=spec, workload=workload.abbrev,
-                    scheduler=eas, kind=KIND_CHAOS_CELL, fault_level=level,
-                    seed=cell_seed(seed, workload.abbrev, level))
-            for workload in workloads
-            for level in fault_levels)
-        results = engine.run_batch(batch)
-        cpu_baselines = {w.abbrev: results[i].payload
-                         for i, w in enumerate(workloads)}
-        cells = [r.payload for r in results[len(workloads):]]
-        return ChaosCampaignResult(
-            platform=spec.name,
-            seed=seed,
-            levels=list(fault_levels),
-            workloads=[w.abbrev for w in workloads],
-            cpu_baselines=cpu_baselines,
-            cells=cells,
-        )
-
-    characterization = get_characterization(spec)
-    cpu_baselines: Dict[str, Tuple[float, float]] = {}
-    for workload in workloads:
-        inner = IntegratedProcessor(spec)
-        runtime = ConcordRuntime(inner)
-        scheduler = CpuOnlyScheduler()
-        kernel = workload.make_kernel()
-        t0, e0 = inner.now, inner.msr.lifetime_joules
-        for inv in workload.invocations():
-            runtime.parallel_for(kernel, inv.n_items, scheduler)
-        cpu_baselines[workload.abbrev] = (inner.now - t0,
-                                          inner.msr.lifetime_joules - e0)
-
-    cells = [
-        run_chaos_cell(spec, workload, characterization, level,
-                       seed=cell_seed(seed, workload.abbrev, level),
-                       metric=metric, eas_config=eas_config)
-        for workload in workloads
-        for level in fault_levels
-    ]
+    eas = SchedulerSpec.eas(metric, eas_config)
+    abbrevs = [spec_workload(w) for w in workloads]
+    batch = [RunSpec(platform=spec, workload=abbrev,
+                     kind=KIND_CHAOS_BASELINE) for abbrev in abbrevs]
+    batch.extend(
+        RunSpec(platform=spec, workload=abbrev, scheduler=eas,
+                kind=KIND_CHAOS_CELL, fault_level=level,
+                seed=cell_seed(seed, abbrev, level))
+        for abbrev in abbrevs
+        for level in fault_levels)
+    results = (engine or get_default_engine()).run_batch(batch)
     return ChaosCampaignResult(
         platform=spec.name,
         seed=seed,
         levels=list(fault_levels),
-        workloads=[w.abbrev for w in workloads],
-        cpu_baselines=cpu_baselines,
-        cells=cells,
+        workloads=abbrevs,
+        cpu_baselines={abbrev: results[i].payload
+                       for i, abbrev in enumerate(abbrevs)},
+        cells=[r.payload for r in results[len(abbrevs):]],
     )
 
 

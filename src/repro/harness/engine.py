@@ -32,8 +32,11 @@ The hot paths - :func:`~repro.harness.suite.sweep_alphas`,
 :func:`~repro.harness.suite.evaluate_suite`,
 :func:`~repro.harness.chaos.run_chaos_campaign`,
 :meth:`~repro.core.characterization.PowerCharacterizer.characterize` -
-all submit their grids through this engine; the CLI exposes
-``--jobs N`` and ``--no-cache``.
+build their grids as specs and run them through this engine, with no
+second execution path; inputs a spec cannot describe (custom metrics,
+subclassed workloads or configs) raise :class:`HarnessError` up front
+and run in-process through :func:`~repro.harness.experiment.run_application`
+instead.  The CLI exposes ``--jobs N`` and ``--no-cache``.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from repro.core.characterization import (
     PlatformCharacterization,
     sweep_step_problem,
 )
-from repro.core.metrics import EnergyMetric, metric_by_name
+from repro.core.metrics import metric_by_name
 from repro.core.scheduler import EnergyAwareScheduler, SchedulerConfig
 from repro.errors import HarnessError
 from repro.harness.experiment import run_application
@@ -136,6 +139,10 @@ KIND_FLEET_DISPATCH = "fleet-dispatch"
 _ALL_KINDS = (KIND_APPLICATION, KIND_CHAOS_CELL, KIND_CHAOS_BASELINE,
               KIND_CHAR_SWEEP, KIND_MICROBENCH_TIMELINE, KIND_MULTIPROGRAM,
               KIND_FLEET_CELL, KIND_FLEET_DISPATCH)
+
+#: Kinds whose worker rebuilds ``RunSpec.workload`` from the registry.
+_REGISTRY_WORKLOAD_KINDS = (KIND_APPLICATION, KIND_CHAOS_CELL,
+                            KIND_CHAOS_BASELINE, KIND_FLEET_CELL)
 
 #: Dispatch-mode names accepted on a ``fleet-dispatch`` spec (kept in
 #: sync with ``repro.fleet.dispatcher.DISPATCH_MODES``; duplicated
@@ -228,8 +235,25 @@ class SchedulerSpec:
     @classmethod
     def eas(cls, metric: object = "edp",
             config: Optional[SchedulerConfig] = None) -> "SchedulerSpec":
+        """EAS under ``metric`` (a name or a metric object) and ``config``.
+
+        Workers rebuild both from the spec, so both are checked here, in
+        the submitting process: a metric object must equal the registry
+        metric of its name (custom objectives do not), and ``config``
+        must be a plain :class:`SchedulerConfig`.  Anything else raises
+        :class:`HarnessError` rather than running a different scheduler
+        in a worker.
+        """
         name = metric if isinstance(metric, str) else metric.name
-        metric_by_name(name)  # validate early, in the submitting process
+        resolved = metric_by_name(name)  # UnknownNameError on a miss
+        if not isinstance(metric, str) and resolved != metric:
+            raise HarnessError(
+                f"metric {metric!r} is not the registry metric {name!r}; "
+                f"a custom objective runs in-process with run_application")
+        if config is not None and type(config) is not SchedulerConfig:
+            raise HarnessError(
+                f"{type(config).__name__} is not a plain SchedulerConfig; "
+                f"a SchedulerSpec can only carry SchedulerConfig fields")
         return cls(kind="eas", metric=name, overrides=config_overrides(config))
 
     @classmethod
@@ -329,6 +353,8 @@ class RunSpec:
             raise HarnessError(
                 f"{self.kind} spec must leave fleet/trace/policy/"
                 f"dispatch_mode empty")
+        if self.kind in _REGISTRY_WORKLOAD_KINDS:
+            workload_by_abbrev(self.workload)  # UnknownNameError on a miss
         if self.kind in (KIND_APPLICATION, KIND_CHAOS_CELL,
                          KIND_MULTIPROGRAM) and self.scheduler is None:
             raise HarnessError(f"{self.kind} spec needs a scheduler")
@@ -417,16 +443,11 @@ class RunResult:
     from_cache: bool = False
 
 
-# -- compatibility probes --------------------------------------------------------
+# -- entry-point guard -----------------------------------------------------------
 
 def reconstructible_workload(workload: Workload) -> bool:
     """True when a worker can rebuild ``workload`` from its registry
-    abbreviation alone: exact registry class, no instance state.
-
-    Ablations that mutate or subclass workloads fail this probe and
-    take the serial in-process path instead of silently simulating the
-    wrong thing in a worker.
-    """
+    abbreviation alone: exact registry class, no instance state."""
     try:
         reference = workload_by_abbrev(workload.abbrev)
     except Exception:
@@ -434,18 +455,20 @@ def reconstructible_workload(workload: Workload) -> bool:
     return type(reference) is type(workload) and not vars(workload)
 
 
-def standard_metric_name(metric: EnergyMetric) -> Optional[str]:
-    """The metric's registry name, or None for custom metrics (which
-    carry unpicklable objective functions)."""
-    try:
-        return metric.name if metric_by_name(metric.name) == metric else None
-    except Exception:
-        return None
+def spec_workload(workload: Workload) -> str:
+    """The abbreviation a :class:`RunSpec` carries for ``workload``.
 
-
-def plain_scheduler_config(config: Optional[SchedulerConfig]) -> bool:
-    """True when ``config`` survives the canonicalize/rebuild round trip."""
-    return config is None or type(config) is SchedulerConfig
+    A subclassed or mutated workload would silently run as the registry
+    workload of the same name in a worker, so it raises
+    :class:`HarnessError` instead; such workloads run in-process
+    through :func:`~repro.harness.experiment.run_application`.
+    """
+    if not reconstructible_workload(workload):
+        raise HarnessError(
+            f"workload {workload.abbrev!r} ({type(workload).__name__}) is "
+            f"not a registry workload a RunSpec can describe; run it "
+            f"in-process with run_application")
+    return workload.abbrev
 
 
 # -- worker-side execution -------------------------------------------------------

@@ -30,7 +30,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.categories import WorkloadCategory, all_categories
-from repro.core.characterization import PlatformCharacterization
+from repro.core.characterization import (
+    PlatformCharacterization,
+    measure_power,
+    offload_phase,
+)
 from repro.core.classification import ClassificationInputs, OnlineClassifier
 from repro.core.metrics import EDP, ENERGY, EnergyMetric
 from repro.errors import UnknownNameError, closest_names
@@ -46,10 +50,10 @@ from repro.harness.suite import (
     sweep_alphas,
 )
 from repro.runtime.runtime import ConcordRuntime
-from repro.soc.simulator import IntegratedProcessor, PhaseRequest
+from repro.soc.simulator import IntegratedProcessor
 from repro.soc.spec import PlatformSpec, baytrail_tablet, haswell_desktop
 from repro.soc.trace import PowerTrace
-from repro.soc.work import CostProfile, WorkRegion, split_for_offload
+from repro.soc.work import CostProfile
 from repro.workloads.base import Workload
 from repro.workloads.microbench import microbench_for
 from repro.workloads.registry import suite_workloads, workload_by_abbrev
@@ -137,21 +141,7 @@ def _run_microbench_partitioned(spec: PlatformSpec, category_code: str,
     processor = IntegratedProcessor(spec, trace_enabled=True)
     profile = CostProfile(bench.cost)
     for _ in range(repetitions):
-        if alpha <= 0.0:
-            request = PhaseRequest(
-                cost=bench.cost,
-                cpu_region=WorkRegion.for_span(profile, n_items, 0.0, n_items),
-                gpu_region=None)
-        elif alpha >= 1.0:
-            request = PhaseRequest(
-                cost=bench.cost, cpu_region=None,
-                gpu_region=WorkRegion.for_span(profile, n_items, 0.0, n_items))
-        else:
-            gpu_region, cpu_region = split_for_offload(
-                profile, n_items, 0.0, n_items, alpha)
-            request = PhaseRequest(cost=bench.cost, cpu_region=cpu_region,
-                                   gpu_region=gpu_region)
-        processor.run_phase(request)
+        processor.run_phase(offload_phase(profile, n_items, alpha))
         if repetitions > 1:
             processor.idle(gap_s)
     return processor.trace
@@ -162,13 +152,9 @@ def _items_for_duration(spec: PlatformSpec, category_code: str,
     """Iteration count that keeps a micro-benchmark's CPU-alone run at
     roughly ``cpu_seconds`` on this platform."""
     from repro.core.categories import category_from_codes
-    from repro.core.characterization import PowerCharacterizer
 
     bench = microbench_for(category_from_codes(category_code))
-    characterizer = PowerCharacterizer(
-        processor_factory=lambda: IntegratedProcessor(spec),
-        microbenches=[bench])
-    probe = characterizer._measure(bench.cost, 50_000.0, 0.0)
+    probe = measure_power(spec, bench.cost, 50_000.0, 0.0)
     return max(50_000.0 * cpu_seconds / probe.time_s, 1000.0)
 
 

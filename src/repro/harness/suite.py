@@ -26,25 +26,22 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.baselines import ProfiledPerfScheduler, StaticAlphaScheduler
 from repro.core.characterization import (
     DEFAULT_SWEEP_STEP,
     PlatformCharacterization,
     PowerCharacterizer,
 )
 from repro.core.metrics import EnergyMetric
-from repro.core.scheduler import EnergyAwareScheduler, SchedulerConfig
+from repro.core.scheduler import SchedulerConfig
 from repro.errors import HarnessError
 from repro.harness.engine import (
     ExecutionEngine,
     RunSpec,
     SchedulerSpec,
     get_default_engine,
-    plain_scheduler_config,
-    reconstructible_workload,
-    standard_metric_name,
+    spec_workload,
 )
-from repro.harness.experiment import ApplicationRun, run_application
+from repro.harness.experiment import ApplicationRun
 from repro.soc.spec import PlatformSpec
 from repro.soc.vector import model_identity
 from repro.workloads.base import Workload
@@ -165,27 +162,20 @@ def sweep_alphas(spec: PlatformSpec, workload: Workload, tablet: bool = False,
                  engine: Optional[ExecutionEngine] = None) -> AlphaSweep:
     """Run the application once per static alpha on the 0.1 grid.
 
-    The grid points are independent simulations; with an ``engine``
-    (default: :func:`~repro.harness.engine.get_default_engine`) they
-    execute as one batch - parallel when the engine has workers,
-    memoized when it has a cache, and byte-identical to the serial
-    loop either way.
+    The grid points are independent simulations; they execute as one
+    batch on ``engine`` (default:
+    :func:`~repro.harness.engine.get_default_engine`) - parallel when
+    the engine has workers, memoized when it has a cache, and
+    byte-identical either way.  ``workload`` must be a registry
+    workload (:func:`~repro.harness.engine.spec_workload`).
     """
     alphas = _sweep_grid(step)
-    if engine is None:
-        engine = get_default_engine()
-    if reconstructible_workload(workload):
-        specs = [RunSpec(platform=spec, workload=workload.abbrev,
-                         scheduler=SchedulerSpec.static(a), tablet=tablet)
-                 for a in alphas]
-        runs = [r.payload for r in engine.run_batch(specs)]
-    else:
-        runs = [
-            run_application(spec, workload, StaticAlphaScheduler(alpha=a),
-                            strategy_name=f"static-{a:.2f}", tablet=tablet)
-            for a in alphas
-        ]
-    return AlphaSweep(platform=spec.name, workload=workload.abbrev,
+    abbrev = spec_workload(workload)
+    specs = [RunSpec(platform=spec, workload=abbrev,
+                     scheduler=SchedulerSpec.static(a), tablet=tablet)
+             for a in alphas]
+    runs = [r.payload for r in (engine or get_default_engine()).run_batch(specs)]
+    return AlphaSweep(platform=spec.name, workload=abbrev,
                       alphas=alphas, runs=runs)
 
 
@@ -249,7 +239,7 @@ def _assemble_outcomes(evaluation: SuiteEvaluation, workload: Workload,
                        sweep: AlphaSweep, eas_run: ApplicationRun,
                        perf_run: ApplicationRun,
                        metric: EnergyMetric) -> None:
-    """Fold one workload's runs into the evaluation (both exec paths)."""
+    """Fold one workload's runs into the evaluation."""
     evaluation.sweeps[workload.abbrev] = sweep
     oracle_run = sweep.oracle(metric)
     oracle_value = oracle_run.metric_value(metric)
@@ -272,20 +262,6 @@ def _assemble_outcomes(evaluation: SuiteEvaluation, workload: Workload,
     evaluation.outcomes[workload.abbrev] = per_strategy
 
 
-def _engine_can_evaluate(workloads: Sequence[Workload],
-                         metric: EnergyMetric,
-                         eas_config: Optional[SchedulerConfig]) -> bool:
-    """Whether every run of this evaluation is expressible as a RunSpec.
-
-    Custom metrics (with objective callables), stateful/subclassed
-    workloads, and SchedulerConfig subclasses cannot cross process
-    boundaries declaratively; they take the inline path unchanged.
-    """
-    return (standard_metric_name(metric) is not None
-            and plain_scheduler_config(eas_config)
-            and all(reconstructible_workload(w) for w in workloads))
-
-
 def evaluate_suite(spec: PlatformSpec, workloads: Sequence[Workload],
                    metric: EnergyMetric, tablet: bool = False,
                    sweeps: Optional[Dict[str, AlphaSweep]] = None,
@@ -301,50 +277,32 @@ def evaluate_suite(spec: PlatformSpec, workloads: Sequence[Workload],
     run and one PERF run per workload - is submitted to the ``engine``
     (default: :func:`~repro.harness.engine.get_default_engine`) as a
     single batch, so a pooled engine overlaps *across* workloads and
-    strategies, not just within one sweep.
+    strategies, not just within one sweep.  Registry workloads and
+    metrics and a plain :class:`SchedulerConfig` only: anything else
+    raises :class:`HarnessError` before the batch runs.
     """
     evaluation = SuiteEvaluation(
         platform=spec.name, metric=metric,
         strategies=["CPU", "GPU", "PERF", "EAS"])
-    if engine is None:
-        engine = get_default_engine()
-
-    if not _engine_can_evaluate(workloads, metric, eas_config):
-        characterization = get_characterization(spec)
-        for workload in workloads:
-            sweep = (sweeps or {}).get(workload.abbrev)
-            if sweep is None:
-                sweep = sweep_alphas(spec, workload, tablet=tablet,
-                                     engine=engine)
-            eas_scheduler = EnergyAwareScheduler(
-                characterization=characterization, metric=metric,
-                config=eas_config or SchedulerConfig())
-            eas_run = run_application(spec, workload, eas_scheduler,
-                                      strategy_name="EAS", tablet=tablet)
-            perf_run = run_application(spec, workload,
-                                       ProfiledPerfScheduler(),
-                                       strategy_name="PERF", tablet=tablet)
-            _assemble_outcomes(evaluation, workload, sweep, eas_run,
-                               perf_run, metric)
-        return evaluation
-
+    sweeps = sweeps or {}
     alphas = _sweep_grid(ORACLE_ALPHA_STEP)
     eas_spec = SchedulerSpec.eas(metric, eas_config)
     batch: List[RunSpec] = []
     for workload in workloads:
-        if (sweeps or {}).get(workload.abbrev) is None:
+        abbrev = spec_workload(workload)
+        if sweeps.get(abbrev) is None:
             batch.extend(
-                RunSpec(platform=spec, workload=workload.abbrev,
+                RunSpec(platform=spec, workload=abbrev,
                         scheduler=SchedulerSpec.static(a), tablet=tablet)
                 for a in alphas)
-        batch.append(RunSpec(platform=spec, workload=workload.abbrev,
+        batch.append(RunSpec(platform=spec, workload=abbrev,
                              scheduler=eas_spec, tablet=tablet))
-        batch.append(RunSpec(platform=spec, workload=workload.abbrev,
+        batch.append(RunSpec(platform=spec, workload=abbrev,
                              scheduler=SchedulerSpec.perf(), tablet=tablet))
 
-    results = iter(engine.run_batch(batch))
+    results = iter((engine or get_default_engine()).run_batch(batch))
     for workload in workloads:
-        sweep = (sweeps or {}).get(workload.abbrev)
+        sweep = sweeps.get(workload.abbrev)
         if sweep is None:
             runs = [next(results).payload for _ in alphas]
             sweep = AlphaSweep(platform=spec.name,

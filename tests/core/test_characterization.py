@@ -12,6 +12,7 @@ from repro.core.categories import (
     WorkloadCategory,
     all_categories,
 )
+from repro.core import characterization as characterization_module
 from repro.core.characterization import (
     CharacterizationMicrobench,
     PlatformCharacterization,
@@ -21,7 +22,6 @@ from repro.errors import CharacterizationError, HarnessError
 from repro.harness.engine import KIND_CHAR_SWEEP, RunSpec
 from repro.harness.suite import get_characterization
 from repro.soc.cost_model import KernelCostModel
-from repro.soc.simulator import IntegratedProcessor
 from repro.workloads.microbench import standard_microbenches
 
 
@@ -37,8 +37,7 @@ def one_bench():
 class TestSweep:
     def test_sweep_covers_alpha_grid(self, desktop):
         characterizer = PowerCharacterizer(
-            processor_factory=lambda: IntegratedProcessor(desktop),
-            microbenches=[one_bench()], sweep_step=0.25)
+            spec=desktop, microbenches=[one_bench()], sweep_step=0.25)
         points = characterizer.sweep(one_bench())
         assert [p.alpha for p in points] == pytest.approx([0, 0.25, 0.5, 0.75, 1])
         assert all(p.power_w > 0 for p in points)
@@ -48,8 +47,7 @@ class TestSweep:
         """alpha=0 power looks like CPU-alone (~45 W on the desktop),
         alpha=1 like GPU-alone (~30 W)."""
         characterizer = PowerCharacterizer(
-            processor_factory=lambda: IntegratedProcessor(desktop),
-            microbenches=[one_bench()], sweep_step=0.5)
+            spec=desktop, microbenches=[one_bench()], sweep_step=0.5)
         points = characterizer.sweep(one_bench())
         assert 38.0 < points[0].power_w < 52.0
         assert 25.0 < points[-1].power_w < 38.0
@@ -57,14 +55,12 @@ class TestSweep:
     def test_duplicate_categories_rejected(self, desktop):
         with pytest.raises(CharacterizationError):
             PowerCharacterizer(
-                processor_factory=lambda: IntegratedProcessor(desktop),
-                microbenches=[one_bench(), one_bench()])
+                spec=desktop, microbenches=[one_bench(), one_bench()])
 
     def test_empty_benches_rejected(self, desktop):
         with pytest.raises(CharacterizationError):
             PowerCharacterizer(
-                processor_factory=lambda: IntegratedProcessor(desktop),
-                microbenches=[])
+                spec=desktop, microbenches=[])
 
 
 class TestFullCharacterization:
@@ -142,18 +138,11 @@ def no_simulation(monkeypatch):
     """Any measurement fails loudly: validation must come first."""
     def refuse(*args, **kwargs):
         raise AssertionError("simulated before validating sweep_step")
-    monkeypatch.setattr(PowerCharacterizer, "_measure", refuse)
+    monkeypatch.setattr(characterization_module, "measure_power", refuse)
 
 
 @pytest.mark.usefixtures("no_simulation")
 class TestSweepStepValidation:
-    @pytest.mark.parametrize("step", BAD_STEPS)
-    def test_factory_path_rejects(self, desktop, step):
-        with pytest.raises(CharacterizationError):
-            PowerCharacterizer(
-                processor_factory=lambda: IntegratedProcessor(desktop),
-                microbenches=[one_bench()], sweep_step=step)
-
     @pytest.mark.parametrize("step", BAD_STEPS)
     def test_spec_path_rejects(self, desktop, step):
         with pytest.raises(CharacterizationError):

@@ -26,10 +26,15 @@ from repro.fleet.dispatcher import EXIT_FLEET_PLACEMENT
 from repro.fleet.policies import CellStats
 from repro.harness.engine import (
     CACHE_SCHEMA_VERSION,
+    KIND_APPLICATION,
+    KIND_CHAOS_BASELINE,
+    KIND_CHAOS_CELL,
+    KIND_FLEET_CELL,
     KIND_FLEET_DISPATCH,
     ExecutionEngine,
     ResultCache,
     RunSpec,
+    SchedulerSpec,
 )
 from repro.obs.observer import Observer
 
@@ -280,6 +285,11 @@ class TestEngineFleetDispatch:
         with pytest.raises(HarnessError, match="must leave"):
             RunSpec(platform=FLEET.platform_spec("desktop"),
                     workload="MM", policy="random")
+        for kind in (KIND_APPLICATION, KIND_CHAOS_CELL,
+                     KIND_CHAOS_BASELINE, KIND_FLEET_CELL):
+            with pytest.raises(HarnessError, match="XYZ"):
+                RunSpec(platform=FLEET.platform_spec("desktop"), kind=kind,
+                        workload="XYZ", scheduler=SchedulerSpec.cpu())
 
     def test_engine_runs_and_caches_fleet_dispatch(self, tmp_path):
         cache = ResultCache(str(tmp_path / "dispatch-cache"))

@@ -10,7 +10,6 @@ import pytest
 from repro.core.categories import DeviceDuration
 from repro.core.characterization import PowerCharacterizer
 from repro.soc.device import compute_rates
-from repro.soc.simulator import IntegratedProcessor
 from repro.workloads.microbench import (
     ComputeProbe,
     MemoryProbe,
@@ -42,9 +41,7 @@ class TestCategoryRealization:
         """Calibrate N to the bench's CPU target, then check each
         device's *alone* duration lands on the intended side of the
         100 ms threshold."""
-        characterizer = PowerCharacterizer(
-            processor_factory=lambda: IntegratedProcessor(desktop),
-            microbenches=[bench])
+        characterizer = PowerCharacterizer(spec=desktop, microbenches=[bench])
         n = characterizer._calibrate_items(bench)
         rates = compute_rates(desktop, bench.cost,
                               desktop.cpu.turbo_freq_hz,
