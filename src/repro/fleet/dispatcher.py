@@ -33,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-import random
 import time
 from array import array
 from collections import deque
@@ -44,6 +43,7 @@ import numpy as np
 
 from repro.errors import HarnessError
 from repro.fleet.cells import FleetCellProfile
+from repro.fleet.mtstream import MTStream
 from repro.fleet.policies import (
     PLACEMENT_POLICIES,
     RANDOM_POLICY_SALT,
@@ -927,9 +927,9 @@ def dispatch_stream(fleet: FleetSpec, trace: TraceSpec,
         for wi in present}
 
     if policy == "random":
-        # The policy's exact RNG stream, drawn in arrival order; only
-        # the gather into node indices is vectorized.
-        rng = random.Random(fleet.seed ^ RANDOM_POLICY_SALT)
+        # The policy's exact randrange stream, drawn in bulk in
+        # arrival order and carried across chunks.
+        draws = MTStream(fleet.seed ^ RANDOM_POLICY_SALT)
         max_eligible = max(
             (len(v) for v in eligible_by_w.values()), default=1)
         eligible_matrix = np.zeros((n_workloads, max_eligible),
@@ -979,11 +979,8 @@ def dispatch_stream(fleet: FleetSpec, trace: TraceSpec,
 
         reasons: Dict[int, str] = {}
         if policy == "random":
-            sizes = eligible_sizes[w_ch]
-            draws = np.fromiter(
-                (rng.randrange(s) for s in sizes.tolist()),
-                dtype=np.int64, count=m)
-            nodes_ch = eligible_matrix[w_ch, draws]
+            nodes_ch = eligible_matrix[
+                w_ch, draws.randbelow(eligible_sizes[w_ch])]
             service = svc_table[node_kind[nodes_ch], w_ch]
             ts_ch, tc_ch = _fifo_schedule(t_ch, service, nodes_ch,
                                           node_slots, view.slot_free_at)

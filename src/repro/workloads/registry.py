@@ -7,14 +7,16 @@ footnote 2: the rest fail to compile under 32-bit mingw/CLANG).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from functools import lru_cache
+from typing import Dict, List, Type
 
 from repro.errors import UnknownNameError, closest_names
 from repro.workloads.base import Workload
 
 
-def all_workloads() -> List[Workload]:
-    """Fresh instances of the full twelve-benchmark suite, in the
+@lru_cache(maxsize=None)
+def _workload_classes() -> Dict[str, Type[Workload]]:
+    """The twelve benchmark classes by lower-case abbreviation, in the
     paper's Table 1 order."""
     # Imported here to keep module import light and cycle-free.
     from repro.workloads.barneshut import BarnesHut
@@ -30,38 +32,45 @@ def all_workloads() -> List[Workload]:
     from repro.workloads.skiplist import SkipList
     from repro.workloads.shortest_path import ShortestPath
 
-    return [
-        BarnesHut(),
-        BreadthFirstSearch(),
-        ConnectedComponents(),
-        FaceDetect(),
-        Mandelbrot(),
-        SkipList(),
-        ShortestPath(),
-        BlackScholes(),
-        MatrixMultiply(),
-        NBody(),
-        RayTracer(),
-        Seismic(),
-    ]
+    classes = (
+        BarnesHut,
+        BreadthFirstSearch,
+        ConnectedComponents,
+        FaceDetect,
+        Mandelbrot,
+        SkipList,
+        ShortestPath,
+        BlackScholes,
+        MatrixMultiply,
+        NBody,
+        RayTracer,
+        Seismic,
+    )
+    return {cls.abbrev.lower(): cls for cls in classes}
+
+
+def all_workloads() -> List[Workload]:
+    """Fresh instances of the full twelve-benchmark suite, in the
+    paper's Table 1 order."""
+    return [cls() for cls in _workload_classes().values()]
 
 
 def workload_by_abbrev(abbrev: str) -> Workload:
     """Look up a suite workload by its Table-1 abbreviation.
 
+    Returns a fresh instance, constructing only the one that matches.
     Raises :class:`~repro.errors.UnknownNameError` (which is also a
     :class:`~repro.errors.WorkloadError`) with did-you-mean
     suggestions on a miss.
     """
-    workloads = all_workloads()
-    for workload in workloads:
-        if workload.abbrev.lower() == abbrev.lower():
-            return workload
-    known = [w.abbrev for w in workloads]
-    raise UnknownNameError(
-        f"unknown workload abbreviation {abbrev!r}; "
-        f"expected one of {known}",
-        suggestions=closest_names(abbrev, known))
+    cls = _workload_classes().get(abbrev.lower())
+    if cls is None:
+        known = [c.abbrev for c in _workload_classes().values()]
+        raise UnknownNameError(
+            f"unknown workload abbreviation {abbrev!r}; "
+            f"expected one of {known}",
+            suggestions=closest_names(abbrev, known))
+    return cls()
 
 
 def _suites() -> "tuple[List[str], List[str]]":

@@ -93,6 +93,39 @@ class TestCrossModeEquivalence:
         assert a.fingerprint() != b.fingerprint()
 
 
+class TestRandomPlacementStream:
+    """The streaming ``random`` policy draws its ``randrange`` stream in
+    bulk and carries it across chunks.  With ``("MM", "BFS")`` the
+    eligible counts differ per request (BFS runs on desktops only), so
+    the draws are no longer just the accepted words in order.  Ten
+    nodes, four of them desktops, make the counts 10 and 4, whose
+    rejection rules differ (counts a power of two apart, such as 16
+    and 8, reject exactly the same words)."""
+
+    FLEET10 = dataclasses.replace(FLEET, n_nodes=10, desktop_fraction=0.4)
+    #: ~200 requests: enough draws that a wrong rejection rule shows.
+    LONG_TRACE = dataclasses.replace(TRACE, mean_rate_hz=10.0)
+
+    @pytest.mark.parametrize("workloads", (("MM", "RT"), ("MM", "BFS")))
+    def test_chunked_stream_matches_reference(self, engine, workloads):
+        trace = dataclasses.replace(self.LONG_TRACE, workloads=workloads)
+        ref = run_fleet(self.FLEET10, trace, policy="random", engine=engine)
+        st = dispatch_stream(self.FLEET10, trace, policy="random",
+                             engine=engine, chunk_size=7)
+        assert st.n_chunks > 1
+        assert ref.stream_fingerprint() == st.fingerprint()
+
+    def test_mixed_eligibility_really_mixes(self, engine):
+        trace = dataclasses.replace(self.LONG_TRACE, workloads=("MM", "BFS"))
+        ref = run_fleet(self.FLEET10, trace, policy="random", engine=engine)
+        nodes = self.FLEET10.nodes()
+        kinds = {(o.workload, nodes[o.node_index].platform_kind)
+                 for o in ref.outcomes}
+        assert ("BFS", "tablet") not in kinds
+        assert {("BFS", "desktop"), ("MM", "desktop"),
+                ("MM", "tablet")} <= kinds
+
+
 class TestTieBreakRegression:
     """Ties break in eligible (class-major) order, not node index.
 

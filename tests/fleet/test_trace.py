@@ -1,5 +1,7 @@
 """Arrival-trace generators: determinism, shapes, validation, columns."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from repro.fleet import (
     iter_trace_chunks,
     trace_columns,
 )
+from repro.fleet import trace as trace_module
+from repro.fleet.mtstream import BLOCK_WORDS
 
 
 class TestDeterminism:
@@ -152,3 +156,110 @@ class TestColumnarForm:
             next(iter_trace_chunks(spec, chunk_size=0))
         with pytest.raises(HarnessError):
             next(iter_trace_chunks(spec, chunk_size=-4))
+
+
+def _assert_columns_equal_scalar(spec):
+    requests = generate_trace(spec)
+    t, w, d = trace_columns(spec)
+    assert len(t) == len(requests)
+    assert np.array_equal(
+        t, np.fromiter((r.t_arrival_s for r in requests), np.float64))
+    assert np.array_equal(
+        d, np.fromiter((r.deadline_s for r in requests), np.float64))
+    assert [spec.workloads[i] for i in w.tolist()] == [
+        r.workload for r in requests]
+    return requests
+
+
+class TestColumnsAtBlockScale:
+    """The columnar form draws the Mersenne Twister stream in blocks of
+    ``BLOCK_WORDS`` words; rows, bursts and rejection chains that span
+    a block boundary must come out exactly as the scalar draws do.
+
+    ``min_words`` bounds the words a trace of ``n`` requests consumes
+    from below: a background row takes two for its arrival, at least
+    one for its workload and two for its deadline (a diurnal row also
+    two for its thinning draw), a burst item four, a wave row none.
+    """
+
+    @pytest.mark.parametrize("kind,duration_s,rate_hz,workloads,min_words", [
+        ("bursty", 100.0, 250.0, ("MB", "MM", "RT", "BS"),
+         lambda n: 4 * n),
+        ("diurnal", 100.0, 150.0, ("MM", "RT", "SM"), lambda n: 7 * n),
+        ("diurnal", 80.0, 200.0, ("BS",), lambda n: 7 * n),
+        ("adversarial", 100.0, 1000.0, ("MB", "MM", "RT", "BS", "SM"),
+         lambda n: 5 * (n - 80000)),
+    ], ids=("bursty", "diurnal", "diurnal-one-workload", "adversarial"))
+    @pytest.mark.parametrize("seed", (3, 2016))
+    def test_columns_match_scalar_across_blocks(self, kind, duration_s,
+                                                rate_hz, workloads,
+                                                min_words, seed):
+        spec = TraceSpec(kind=kind, duration_s=duration_s,
+                         mean_rate_hz=rate_hz, workloads=workloads,
+                         seed=seed)
+        requests = _assert_columns_equal_scalar(spec)
+        # The case really crosses at least two block boundaries.
+        assert min_words(len(requests)) > 2 * BLOCK_WORDS
+
+    def test_duplicate_workload_names_keep_last_index(self):
+        spec = TraceSpec(kind="bursty", duration_s=60.0, mean_rate_hz=40.0,
+                         workloads=("MM", "RT", "MM"), seed=8)
+        _assert_columns_equal_scalar(spec)
+        _, w, _ = trace_columns(spec)
+        assert set(w.tolist()) == {1, 2}
+
+    @pytest.mark.parametrize("seed", (1, 5, 2016))
+    def test_bursts_straddling_the_end(self, seed):
+        """Bursts with ``epoch + window >= duration`` drop their
+        out-of-range items together with those items' deadline draws;
+        the rows after them must stay aligned."""
+        spec = TraceSpec(kind="bursty", duration_s=1.0, mean_rate_hz=300.0,
+                         workloads=("MB", "MM", "RT", "BS"), seed=seed)
+
+        class Recorder(random.Random):
+            def __init__(self, seed):
+                super().__init__(seed)
+                self.uniforms = []
+
+            def uniform(self, a, b):
+                value = super().uniform(a, b)
+                self.uniforms.append((a, b, value))
+                return value
+
+        rng = Recorder(spec.seed)
+        trace_module._bursty(spec, rng)
+        straddling = dropped = 0
+        epoch = None
+        for a, b, value in rng.uniforms:
+            if (a, b) == (0.0, spec.duration_s):
+                epoch = value
+                straddling += (epoch + trace_module._BURST_WINDOW_S
+                               >= spec.duration_s)
+            elif (a, b) == (0.0, trace_module._BURST_WINDOW_S):
+                dropped += epoch + value >= spec.duration_s
+        assert straddling >= 2 and dropped >= 1
+        _assert_columns_equal_scalar(spec)
+
+
+class TestColumnSort:
+    """``trace_columns`` orders rows by arrival time and, among equal
+    times, by generation order (the scalar form's ``(t, order)`` sort)."""
+
+    def test_ties_keep_generation_order(self):
+        rng = np.random.default_rng(4)
+        t = rng.integers(0, 40, size=5000).astype(np.float64)
+        cols = trace_module._Columns()
+        cols.add(t=t, w=np.arange(5000) % 7, d=np.arange(5000.0))
+        t_sorted, w_sorted, d_sorted = cols.sorted()
+        expected = sorted(range(5000), key=lambda i: (t[i], i))
+        assert np.array_equal(d_sorted, np.asarray(expected, np.float64))
+        assert np.array_equal(t_sorted, t[expected])
+        assert np.array_equal(w_sorted, (np.arange(5000) % 7)[expected])
+
+    def test_distinct_times(self):
+        t = np.random.default_rng(5).random(3000) * 100.0
+        cols = trace_module._Columns()
+        cols.add(t=t, w=np.zeros(3000), d=np.arange(3000.0))
+        t_sorted, _, d_sorted = cols.sorted()
+        assert np.array_equal(t_sorted, np.sort(t))
+        assert np.array_equal(d_sorted, np.argsort(t, kind="stable"))

@@ -18,14 +18,20 @@ from repro.fleet import (
     iter_trace_chunks,
     trace_columns,
 )
+from repro.workloads.registry import DESKTOP_SUITE
 
-#: Keep traces small: the properties are per-element, not per-scale.
+#: Keep traces small: the properties are per-element, not per-scale
+#: (tests/fleet/test_trace.py covers traces that span several of the
+#: columnar form's word blocks).  One to six workload names, repeats
+#: allowed, so every rejection rate of the workload draw shows up:
+#: n = 1, 2 and 4 reject half the words.
 spec_st = st.builds(
     TraceSpec,
     kind=st.sampled_from(TRACE_KINDS),
     duration_s=st.floats(0.5, 40.0),
     mean_rate_hz=st.floats(0.2, 6.0),
-    workloads=st.sampled_from((("MM",), ("MM", "RT"), ("MM", "RT", "SM"))),
+    workloads=st.lists(st.sampled_from(DESKTOP_SUITE), min_size=1,
+                       max_size=6).map(tuple),
     seed=st.integers(0, 2 ** 31 - 1),
 )
 

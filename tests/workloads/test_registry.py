@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import WorkloadError
+from repro.errors import UnknownNameError, WorkloadError
 from repro.workloads.registry import (
     DESKTOP_SUITE,
     TABLET_SUITE,
@@ -25,6 +25,17 @@ class TestRegistry:
     def test_unknown_abbrev(self):
         with pytest.raises(WorkloadError):
             workload_by_abbrev("XYZ")
+
+    def test_unknown_abbrev_suggests(self):
+        with pytest.raises(UnknownNameError) as info:
+            workload_by_abbrev("CX")
+        assert "CC" in info.value.suggestions
+
+    def test_lookup_returns_a_fresh_instance(self):
+        # Callers own what they get back and may mutate it; a shared
+        # instance would leak one caller's changes into the next lookup.
+        assert workload_by_abbrev("CC") is not workload_by_abbrev("CC")
+        assert all_workloads()[0] is not all_workloads()[0]
 
 
 class TestSuites:
