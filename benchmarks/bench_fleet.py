@@ -1,14 +1,17 @@
 """Fleet dispatch at scale: a million requests over 2000 nodes.
 
 The streaming-dispatcher acceptance campaign (see docs/FLEET.md,
-"Streaming dispatch"):
+"Streaming dispatch").  The "reference" throughout is the per-request
+scalar loop kept as the test oracle
+(``tests/fleet/reference_dispatch.py``), not ``run_fleet`` - which
+rides the same chunked loop as ``dispatch_stream``:
 
-* **throughput** - streaming mode routes a ``$FLEET_REQUESTS``-request
-  (default 1M) bursty trace over ``$FLEET_NODES`` (default 2000) mixed
-  desktop/tablet nodes; the reference loop routes a
-  ``$FLEET_REFERENCE_REQUESTS`` (default 20k) prefix-sized trace of
-  the same shape.  End-to-end requests/second (trace generation
-  included for both) must favor streaming by at least
+* **throughput** - ``dispatch_stream`` routes a
+  ``$FLEET_REQUESTS``-request (default 1M) bursty trace over
+  ``$FLEET_NODES`` (default 2000) mixed desktop/tablet nodes; the
+  reference loop routes a ``$FLEET_REFERENCE_REQUESTS`` (default 20k)
+  prefix-sized trace of the same shape.  End-to-end requests/second
+  (trace generation included for both) must favor streaming by at least
   ``$FLEET_SPEED_MIN_SPEEDUP`` (default 20) on the fully vectorized
   ``round_robin`` path; ``random`` and ``least_loaded`` ratios are
   reported unasserted (``least_loaded`` stays per-request sequential
@@ -20,8 +23,8 @@ The streaming-dispatcher acceptance campaign (see docs/FLEET.md,
   holds ~18 B/request of columns; the reference holds outcome +
   record objects).
 * **equivalence** - on a reduced grid every policy's streaming run
-  fingerprints byte-identical to the reference's
-  ``stream_fingerprint()`` (same placement decisions, same
+  fingerprints byte-identical to the reference's stream digest
+  (``stream_fingerprint``: same placement decisions, same
   timestamps).
 * **policy quality** - ``energy_aware`` still beats ``random`` on
   fleet energy without missing more deadlines (reduced grid).
@@ -44,10 +47,13 @@ from repro.fleet import (
     FleetSpec,
     TraceSpec,
     dispatch_stream,
-    run_fleet,
     trace_columns,
 )
 from repro.harness.engine import ExecutionEngine, ResultCache
+from tests.fleet.reference_dispatch import (
+    run_fleet_reference,
+    stream_fingerprint,
+)
 
 OUTPUT_PATH = os.environ.get("BENCH_FLEET_JSON", "BENCH_fleet.json")
 N_REQUESTS = int(os.environ.get("FLEET_REQUESTS", "1000000"))
@@ -95,7 +101,8 @@ def _timed_stream(engine, policy, trace=TRACE):
 
 def _timed_reference(engine, policy):
     started = time.perf_counter()
-    result = run_fleet(FLEET, REF_TRACE, policy=policy, engine=engine)
+    result = run_fleet_reference(FLEET, REF_TRACE, policy=policy,
+                                 engine=engine)
     wall = time.perf_counter() - started
     return result, wall
 
@@ -201,8 +208,8 @@ def test_fleet_streaming_campaign(benchmark, tmp_path):
         lambda: dispatch_stream(FLEET, TRACE, policy="round_robin",
                                 engine=engine))
     ref_peak = _peak_bytes(
-        lambda: run_fleet(FLEET, REF_TRACE, policy="round_robin",
-                          engine=engine))
+        lambda: run_fleet_reference(FLEET, REF_TRACE, policy="round_robin",
+                                    engine=engine))
     stream_per_req = stream_peak / report["campaign"]["requests"]
     ref_per_req = ref_peak / report["campaign"]["reference_requests"]
     report["memory"] = {
@@ -219,11 +226,11 @@ def test_fleet_streaming_campaign(benchmark, tmp_path):
 
     # -- cross-mode equivalence (reduced grid, every policy) -----------------
     for policy in PLACEMENT_POLICIES:
-        ref = run_fleet(GRID_FLEET, GRID_TRACE, policy=policy,
-                        engine=engine)
+        ref = run_fleet_reference(GRID_FLEET, GRID_TRACE, policy=policy,
+                                  engine=engine)
         st = dispatch_stream(GRID_FLEET, GRID_TRACE, policy=policy,
                              engine=engine)
-        identical = ref.stream_fingerprint() == st.fingerprint()
+        identical = stream_fingerprint(ref) == st.fingerprint()
         report["equivalence"][policy] = {
             "requests": ref.n_requests,
             "fingerprints_identical": identical,

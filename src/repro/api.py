@@ -104,7 +104,6 @@ from repro.harness.crashchaos import (
     run_crash_chaos,
 )
 from repro.fleet import (
-    DISPATCH_MODES,
     PLACEMENT_POLICIES,
     PLATFORM_KINDS,
     TRACE_KINDS,
@@ -238,7 +237,7 @@ __all__ = [
     "run_fleet", "FleetResult", "RequestOutcome", "FleetCellProfile",
     "compare_fleet_policies", "FleetComparisonResult",
     # streaming fleet dispatch (docs/FLEET.md, "Streaming dispatch")
-    "DISPATCH_MODES", "dispatch_stream", "FleetStreamResult",
+    "dispatch_stream", "FleetStreamResult",
     "LatencySketch",
     # carbon-aware scheduling (docs/OBJECTIVES.md)
     "CarbonSpec", "CarbonTrace",

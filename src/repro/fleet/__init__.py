@@ -20,12 +20,13 @@ Layers:
 * :mod:`repro.fleet.cells` - one node-class execution profile, run as
   a ``fleet-cell`` :class:`~repro.harness.engine.RunSpec`;
 * :mod:`repro.fleet.dispatcher` - the event-driven dispatch loop and
-  the byte-stable :class:`FleetResult`.
+  its two consumers: :func:`run_fleet` (every outcome, the byte-stable
+  :class:`FleetResult`) and :func:`dispatch_stream` (bounded
+  aggregates, :class:`FleetStreamResult`).
 """
 
 from repro.fleet.cells import FleetCellProfile, run_fleet_cell
 from repro.fleet.dispatcher import (
-    DISPATCH_MODES,
     FleetComparisonResult,
     FleetResult,
     FleetStreamResult,
@@ -48,7 +49,6 @@ from repro.fleet.trace import (
 )
 
 __all__ = [
-    "DISPATCH_MODES",
     "FleetCellProfile",
     "FleetComparisonResult",
     "FleetRequest",

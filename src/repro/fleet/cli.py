@@ -9,9 +9,11 @@ Examples::
         --duration 30 --rate 2 --tick-mode fast --fingerprint-only
 
 Routes a seeded arrival trace across a mixed desktop/tablet fleet
-under one or more placement policies and prints the per-policy
-accounting plus a byte-stable fingerprint (identical on reruns and at
-any ``--jobs N``; see docs/FLEET.md).
+under one or more placement policies (:func:`dispatch_stream`, in
+chunks of ``--chunk-size`` requests) and prints the per-policy
+accounting plus a byte-stable stream fingerprint (identical on
+reruns, at any ``--jobs N`` and at any ``--chunk-size``; see
+docs/FLEET.md).
 """
 
 from __future__ import annotations
@@ -23,11 +25,7 @@ import time
 from typing import List, Optional
 
 from repro.errors import HarnessError, UnknownNameError, closest_names
-from repro.fleet.dispatcher import (
-    DISPATCH_MODES,
-    compare_fleet_policies,
-    run_fleet,
-)
+from repro.fleet.dispatcher import FleetComparisonResult, dispatch_stream
 from repro.fleet.topology import FleetSpec
 from repro.fleet.trace import (
     DEFAULT_CHUNK_SIZE,
@@ -93,17 +91,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(default: edp)")
     parser.add_argument("--tick-mode", choices=TICK_MODES, default="exact",
                         help="node simulator clock mode (default: exact)")
-    parser.add_argument("--dispatch-mode", choices=DISPATCH_MODES,
-                        default="reference",
-                        help="dispatch implementation: the per-request "
-                             "reference loop or the chunked streaming "
-                             "pipeline (identical placement decisions; "
-                             "default: reference)")
     parser.add_argument("--chunk-size", type=int,
                         default=DEFAULT_CHUNK_SIZE, metavar="N",
-                        help="requests per streaming chunk "
-                             f"(default: {DEFAULT_CHUNK_SIZE}; streaming "
-                             "mode only)")
+                        help="requests per dispatch chunk (default: "
+                             f"{DEFAULT_CHUNK_SIZE}; fingerprints are "
+                             "byte-identical at any N)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for cell simulations "
                              "(default: 1 = serial; fingerprints are "
@@ -141,19 +133,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     engine = ExecutionEngine(jobs=args.jobs, cache=cache)
 
     started = time.perf_counter()
-    if len(policies) == 1:
-        result = run_fleet(fleet, trace, policy=policies[0], engine=engine,
-                           dispatch_mode=args.dispatch_mode,
-                           chunk_size=args.chunk_size)
+    results = tuple(
+        dispatch_stream(fleet, trace, policy=policy, engine=engine,
+                        chunk_size=args.chunk_size)
+        for policy in policies)
+    if len(results) == 1:
+        result = results[0]
         if args.fingerprint_only:
             print(f"{result.policy} {result.fingerprint()}")
         else:
             print(result.render())
     else:
-        comparison = compare_fleet_policies(fleet, trace, policies=policies,
-                                            engine=engine,
-                                            dispatch_mode=args.dispatch_mode,
-                                            chunk_size=args.chunk_size)
+        comparison = FleetComparisonResult(fleet=fleet, trace=trace,
+                                           results=results)
         if args.fingerprint_only:
             for result in comparison.results:
                 print(f"{result.policy} {result.fingerprint()}")

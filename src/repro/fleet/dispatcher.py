@@ -1,4 +1,4 @@
-"""The global dispatcher: an event-driven loop over the arrival trace.
+"""The global dispatcher: one event-driven loop over the arrival trace.
 
 Two phases, both deterministic:
 
@@ -10,13 +10,18 @@ Two phases, both deterministic:
    engine's own guarantee).  A thousand-node fleet costs as many
    simulations as it has distinct cells.
 
-2. **Dispatch.**  Requests replay in arrival order; a pending-completion
-   heap (keyed ``(t_complete, dispatch seq)``) retires finished work
-   before each arrival, so placement policies observe exactly the
-   completions a real-time dispatcher would have seen.  Placement
-   reads only the :class:`~repro.fleet.policies.FleetView`; the
-   simulated execution itself is the phase-1 profile (per-node EAS
-   stays black-box).
+2. **Dispatch.**  Requests replay in dispatch order - arrival order,
+   or on carbon-aware fleets the instant a deferrable request is
+   released from its hold window; completions (ordered
+   ``(t_complete, dispatch seq)``) retire before each dispatch, so
+   placement policies observe exactly the completions a real-time
+   dispatcher would have seen.  Placement reads only the
+   :class:`~repro.fleet.policies.FleetView`; the simulated execution
+   itself is the phase-1 profile (per-node EAS stays black-box).
+
+:func:`run_fleet` and :func:`dispatch_stream` are two consumers of the
+same chunked loop: the first keeps every outcome, the second bounded
+aggregates.
 
 Determinism contract (docs/FLEET.md): same
 (:class:`~repro.fleet.topology.FleetSpec`,
@@ -36,8 +41,10 @@ import math
 import time
 from array import array
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -74,23 +81,32 @@ from repro.soc.carbon import CarbonTrace
 #: level records keep the scheduler's own Fig.-7 exit paths).
 EXIT_FLEET_PLACEMENT = "fleet-placement"
 
-#: The two dispatch implementations :func:`run_fleet` selects between.
-#: ``reference`` is the original per-request loop (one RequestOutcome
-#: object per request); ``streaming`` is the chunked columnar pipeline
-#: (bounded memory, identical placement decisions - see
-#: docs/FLEET.md, "Streaming dispatch").
-DISPATCH_MODES: Tuple[str, ...] = ("reference", "streaming")
-
-#: Streaming mode keeps one DecisionRecord per this many requests...
+#: dispatch_stream keeps one DecisionRecord per this many requests...
 DEFAULT_SAMPLE_STRIDE = 1000
 #: ...plus every anomalous (deadline-missing) request, capped here so
 #: record memory stays bounded on pathological traces.  Exact match
 #: counters are kept alongside (nothing is lost silently).
 MAX_SAMPLED_RECORDS = 10_000
 
-#: Fixed platform-class order used by the streaming lookup tables
+#: Fixed platform-class order used by the dispatch lookup tables
 #: (index 0 = desktop, 1 = tablet, same order everywhere).
 _PLATFORM_ORDER: Tuple[str, ...] = ("desktop", "tablet")
+
+
+def _idle_energy_j(fleet: FleetSpec, horizon: float,
+                   busy_by_node: Sequence[float]) -> float:
+    """Fleet idle-floor energy over ``horizon``: every node burns its
+    spec idle power whenever not executing.  Reported apart from the
+    busy energy because for a fixed fleet and horizon it is
+    (near-)policy-invariant - folding it into the headline number
+    would only dilute the placement signal."""
+    idle_power = {kind: fleet.platform_spec(kind).idle_power_w
+                  for kind in _PLATFORM_ORDER}
+    total = 0.0
+    for node in fleet.nodes():
+        total += idle_power[node.platform_kind] * max(
+            0.0, horizon - busy_by_node[node.index])
+    return total
 
 
 @dataclass(frozen=True)
@@ -172,33 +188,19 @@ class FleetResult:
 
     @property
     def idle_energy_estimate_j(self) -> float:
-        """Fleet idle-floor energy over the makespan: every node burns
-        its spec idle power whenever not executing.  Reported apart
-        from :attr:`total_energy_j` because for a fixed fleet and
-        horizon it is (near-)policy-invariant - folding it into the
-        headline number would only dilute the placement signal."""
-        horizon = self.makespan_s
-        busy_by_node: Dict[int, float] = {}
+        busy_by_node = [0.0] * self.fleet.n_nodes
         for outcome in self.outcomes:
-            busy_by_node[outcome.node_index] = (
-                busy_by_node.get(outcome.node_index, 0.0)
-                + (outcome.t_complete_s - outcome.t_start_s))
-        idle_power = {
-            kind: self.fleet.platform_spec(kind).idle_power_w
-            for kind in ("desktop", "tablet")}
-        total = 0.0
-        for node in self.fleet.nodes():
-            busy = busy_by_node.get(node.index, 0.0)
-            total += idle_power[node.platform_kind] * max(
-                0.0, horizon - busy)
-        return total
+            busy_by_node[outcome.node_index] += (outcome.t_complete_s
+                                                 - outcome.t_start_s)
+        return _idle_energy_j(self.fleet, self.makespan_s, busy_by_node)
 
     @property
     def total_carbon_g(self) -> float:
         """Carbon mass across the fleet, grams (0 on carbon-blind
-        fleets, where no outcome carries a carbon figure)."""
-        return sum(o.carbon_g for o in self.outcomes
-                   if o.carbon_g is not None)
+        fleets, where no outcome carries a carbon figure).  Exactly
+        rounded (``math.fsum``), so it is independent of order."""
+        return math.fsum(o.carbon_g for o in self.outcomes
+                         if o.carbon_g is not None)
 
     def low_carbon_energy_fraction(self) -> float:
         """Of the *deferrable* requests' energy, the fraction spent in
@@ -269,78 +271,59 @@ class FleetResult:
         lines.extend(o.canonical() for o in self.outcomes)
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
-    def stream_fingerprint(self) -> str:
-        """The streaming-mode digest computed from these outcomes.
-
-        Byte-equality with :meth:`FleetStreamResult.fingerprint` is
-        the cross-mode differential lock: it covers every placement
-        decision and every timestamp of every request, chunk-size
-        independently.
-        """
-        n = len(self.outcomes)
-        index = {w: i for i, w in enumerate(self.trace.workloads)}
-        digests = _ColumnDigests()
-        if n:
-            digests.update(
-                workload_idx=np.fromiter(
-                    (index[o.workload] for o in self.outcomes),
-                    np.uint16, n),
-                t_arrival_s=np.fromiter(
-                    (o.t_arrival_s for o in self.outcomes), np.float64, n),
-                deadline_s=np.fromiter(
-                    (o.deadline_s for o in self.outcomes), np.float64, n),
-                node_index=np.fromiter(
-                    (o.node_index for o in self.outcomes), np.int32, n),
-                t_start_s=np.fromiter(
-                    (o.t_start_s for o in self.outcomes), np.float64, n),
-                t_complete_s=np.fromiter(
-                    (o.t_complete_s for o in self.outcomes), np.float64, n))
-        return _fold_stream_digest(self.fleet, self.trace, self.policy,
-                                   self.cells, digests, n)
-
     def render(self) -> str:
-        kinds = self.dispatches_by_kind()
-        rows = [
-            ("requests", f"{self.n_requests}"),
-            ("nodes", f"{self.fleet.n_nodes} "
-                      f"({self.fleet.desktop_fraction:.0%} desktop)"),
-            ("distinct cells", f"{len(self.cells)} "
-                               f"({self.cells_executed} executed, rest "
-                               f"cached/deduped)"),
-            ("dispatches", f"desktop={kinds['desktop']} "
-                           f"tablet={kinds['tablet']}"),
-            ("fleet energy (busy)", f"{self.total_energy_j:.1f} J"),
-            ("idle-floor estimate", f"{self.idle_energy_estimate_j:.1f} J "
-                                    f"over {self.makespan_s:.1f} s"),
-            ("mean latency", f"{self.mean_latency_s:.2f} s"),
-            ("p95 latency", f"{self.latency_percentile_s(95):.2f} s"),
-            ("deadline misses", f"{self.deadline_misses} "
-                                f"({self.miss_rate:.1%})"),
-        ]
-        if self.fleet.carbon is not None:
-            rows.append(("fleet carbon", f"{self.total_carbon_g:.2f} g "
-                                         f"CO2"))
-            if self.trace.deferral_fraction > 0.0:
-                rows.append((
-                    "low-carbon energy",
-                    f"{self.low_carbon_energy_fraction():.1%} of "
-                    f"deferrable energy below median intensity"))
-        return "\n".join([
-            heading(f"Fleet dispatch: policy={self.policy}, "
-                    f"trace={self.trace.kind}"),
-            format_table(["quantity", "value"], rows),
-            "",
-            f"fingerprint: {self.fingerprint()}",
-        ])
+        extra = []
+        if self.fleet.carbon is not None and self.trace.deferral_fraction:
+            extra.append((
+                "low-carbon energy",
+                f"{self.low_carbon_energy_fraction():.1%} of "
+                f"deferrable energy below median intensity"))
+        return _render_dispatch(
+            self, "Fleet dispatch", f"{self.n_requests}",
+            f"{self.latency_percentile_s(95):.2f} s", extra)
+
+
+def _render_dispatch(result, title: str, requests: str, p95: str,
+                     extra: List[Tuple[str, str]]) -> str:
+    """One routing's summary table (either result type)."""
+    kinds = result.dispatches_by_kind()
+    rows = [
+        ("requests", requests),
+        ("nodes", f"{result.fleet.n_nodes} "
+                  f"({result.fleet.desktop_fraction:.0%} desktop)"),
+        ("distinct cells", f"{len(result.cells)} "
+                           f"({result.cells_executed} executed, rest "
+                           f"cached/deduped)"),
+        ("dispatches", f"desktop={kinds['desktop']} "
+                       f"tablet={kinds['tablet']}"),
+        ("fleet energy (busy)", f"{result.total_energy_j:.1f} J"),
+        ("idle-floor estimate", f"{result.idle_energy_estimate_j:.1f} J "
+                                f"over {result.makespan_s:.1f} s"),
+        ("mean latency", f"{result.mean_latency_s:.2f} s"),
+        ("p95 latency", p95),
+        ("deadline misses", f"{result.deadline_misses} "
+                            f"({result.miss_rate:.1%})"),
+    ]
+    if result.fleet.carbon is not None:
+        rows.append(("fleet carbon", f"{result.total_carbon_g:.2f} g CO2"))
+    return "\n".join([
+        heading(f"{title}: policy={result.policy}, "
+                f"trace={result.trace.kind}"),
+        format_table(["quantity", "value"], rows + extra),
+        "",
+        f"fingerprint: {result.fingerprint()}",
+    ])
 
 
 @dataclass
 class FleetComparisonResult:
-    """Several policies routing the *same* trace over the same fleet."""
+    """Several policies routing the *same* trace over the same fleet
+    (:class:`FleetResult` or, from the CLI, :class:`FleetStreamResult`
+    per policy: both carry the read API the table uses)."""
 
     fleet: FleetSpec
     trace: TraceSpec
-    results: Tuple[FleetResult, ...]
+    results: Tuple[Union[FleetResult, FleetStreamResult], ...]
 
     def result(self, policy: str) -> FleetResult:
         for result in self.results:
@@ -377,32 +360,54 @@ class FleetComparisonResult:
 
 
 # -- the dispatch loop -----------------------------------------------------------
+#
+# The per-request scalar loop this replaced is the test oracle
+# (tests/fleet/reference_dispatch.py): both consumers reproduce its
+# fingerprints byte for byte.
 
 #: Candidate hold instants evaluated per deferrable request: evenly
 #: spaced over ``[arrival, arrival + deferrable_s]``, ties earliest.
 _DEFERRAL_SAMPLES = 17
+#: Requests whose hold windows are priced per block, bounding the
+#: (requests x samples) instant matrix.
+_DEFERRAL_BLOCK = 4096
 
 
-def _deferral_start(request: FleetRequest, carbon: CarbonTrace) -> float:
-    """The earliest lowest-intensity dispatch instant in the hold window.
+def _dispatch_times(t_arrival: np.ndarray, deadline: np.ndarray,
+                    deferral_fraction: float,
+                    carbon: Optional[CarbonTrace]) -> np.ndarray:
+    """Each request's dispatch instant (carbon-aware temporal shifting).
 
-    The deferral decision happens *before* placement (no node, hence
-    no region, is known yet), so it reads the grid-operator signal -
-    region 0.  Per-region accounting still prices the energy at the
-    serving node's own region once placed.
+    A request may be held up to ``deferral_fraction * deadline_s`` past
+    its arrival; it dispatches at the earliest lowest-intensity of
+    :data:`_DEFERRAL_SAMPLES` evenly spaced instants of that window.
+    The decision happens *before* placement (no node, hence no region,
+    is known yet), so it reads the grid-operator signal - region 0.
+    Per-region pricing still happens at the serving node once placed.
+
+    The instants are ``arrival + deferrable * k / (samples - 1)``, the
+    same IEEE operations in the same order as the scalar form, so they
+    match it to the bit.  Intensities come from the scalar
+    :meth:`CarbonTrace.intensity`: ``np.sin`` is not bit-identical to
+    ``math.sin``.  ``argmin`` keeps the first of equals (the earliest
+    instant).  Without a carbon signal or deferral the dispatch
+    instants are the arrivals themselves.
     """
-    if request.deferrable_s <= 0.0:
-        return request.t_arrival_s
-    best_t = request.t_arrival_s
-    best_value = carbon.intensity(best_t, 0)
-    for k in range(1, _DEFERRAL_SAMPLES):
-        t = (request.t_arrival_s
-             + request.deferrable_s * k / (_DEFERRAL_SAMPLES - 1))
-        value = carbon.intensity(t, 0)
-        if value < best_value:
-            best_value = value
-            best_t = t
-    return best_t
+    if carbon is None or deferral_fraction <= 0.0:
+        return t_arrival
+    deferrable = deferral_fraction * deadline
+    k = np.arange(_DEFERRAL_SAMPLES, dtype=np.float64)
+    t_dispatch = np.empty_like(t_arrival)
+    for lo in range(0, len(t_arrival), _DEFERRAL_BLOCK):
+        hi = min(lo + _DEFERRAL_BLOCK, len(t_arrival))
+        instants = (t_arrival[lo:hi, None]
+                    + deferrable[lo:hi, None] * k / (_DEFERRAL_SAMPLES - 1))
+        intensity = np.fromiter(
+            map(carbon.intensity, instants.ravel().tolist()),
+            np.float64, instants.size).reshape(instants.shape)
+        t_dispatch[lo:hi] = instants[np.arange(hi - lo),
+                                     intensity.argmin(axis=1)]
+    return t_dispatch
 
 
 def _run_cell_batch(fleet: FleetSpec, pairs: Sequence[Tuple[str, str]],
@@ -420,186 +425,6 @@ def _run_cell_batch(fleet: FleetSpec, pairs: Sequence[Tuple[str, str]],
     return ({pair: result.payload for pair, result in zip(pairs, results)},
             executed)
 
-
-def _resolve_cells(fleet: FleetSpec, requests: Sequence[FleetRequest],
-                   view: FleetView, engine: ExecutionEngine,
-                   observer: Optional[Observer]
-                   ) -> Tuple[Dict[Tuple[str, str], FleetCellProfile], int]:
-    """One engine batch covering every reachable (class, workload) cell."""
-    pairs: List[Tuple[str, str]] = []
-    seen = set()
-    for request in requests:
-        kinds = view.eligible_kinds(request.workload)
-        if not kinds:
-            raise HarnessError(
-                f"request {request.req_id}: no node in this fleet can run "
-                f"workload {request.workload!r}")
-        for kind in kinds:
-            if (kind, request.workload) not in seen:
-                seen.add((kind, request.workload))
-                pairs.append((kind, request.workload))
-    pairs.sort()
-    return _run_cell_batch(fleet, pairs, engine, observer)
-
-
-def run_fleet(fleet: FleetSpec, trace: TraceSpec,
-              policy: str = "energy_aware",
-              engine: Optional[ExecutionEngine] = None,
-              observer: Optional[Observer] = None,
-              dispatch_mode: str = "reference",
-              chunk_size: int = DEFAULT_CHUNK_SIZE):
-    """Route ``trace`` over ``fleet`` under one placement policy.
-
-    ``dispatch_mode`` selects the implementation: ``reference`` (the
-    original per-request loop, returns :class:`FleetResult`) or
-    ``streaming`` (the chunked columnar pipeline, returns
-    :class:`FleetStreamResult`).  Both make byte-identical placement
-    decisions; see :meth:`FleetResult.stream_fingerprint`.
-    """
-    if dispatch_mode not in DISPATCH_MODES:
-        raise HarnessError(
-            f"unknown dispatch_mode {dispatch_mode!r}; expected one of "
-            f"{DISPATCH_MODES}")
-    if dispatch_mode == "streaming":
-        return dispatch_stream(fleet, trace, policy=policy, engine=engine,
-                               observer=observer, chunk_size=chunk_size)
-    if engine is None:
-        engine = get_default_engine()
-    obs = observer if observer is not None and observer.enabled else None
-    requests = trace.requests()
-    view = FleetView(fleet.nodes())
-    placer = make_policy(policy, seed=fleet.seed)
-
-    if obs is not None:
-        span = obs.span("fleet.run", policy=policy, nodes=fleet.n_nodes,
-                        trace=trace.kind, requests=len(requests))
-        span.__enter__()
-    profiles, executed = _resolve_cells(fleet, requests, view, engine, obs)
-
-    outcomes: List[RequestOutcome] = []
-    records: List[DecisionRecord] = []
-    # Pending completions: (t_complete, dispatch seq, outcome index).
-    pending: List[Tuple[float, int, int]] = []
-    seq = 0
-
-    def retire(until: float) -> None:
-        while pending and pending[0][0] <= until:
-            _, _, outcome_index = heapq.heappop(pending)
-            outcome = outcomes[outcome_index]
-            view.note_completion(
-                outcome.node_index, outcome.workload,
-                outcome.t_complete_s - outcome.t_start_s, outcome.energy_j)
-            if obs is not None:
-                obs.inc("fleet.completions")
-                if outcome.missed_deadline:
-                    obs.inc("fleet.deadline_misses")
-                obs.observe("fleet.latency_s", outcome.latency_s)
-
-    # Carbon-aware temporal shifting: a deferrable request may be held
-    # up to its deferrable_s for a lower-intensity window, after which
-    # it re-enters the dispatch order at its *effective* time (ties on
-    # req_id - explicit-integer tie-breaking, like everything here).
-    # With no carbon signal the schedule is the arrival order verbatim.
-    carbon = fleet.carbon.trace() if fleet.carbon is not None else None
-    if carbon is not None:
-        schedule = [(_deferral_start(request, carbon), request)
-                    for request in requests]
-        schedule.sort(key=lambda pair: (pair[0], pair[1].req_id))
-    else:
-        schedule = [(request.t_arrival_s, request) for request in requests]
-
-    for t_dispatch, request in schedule:
-        view.now = t_dispatch
-        retire(t_dispatch)
-        node_index, reason = placer.place(view, request)
-        if not view.is_eligible(node_index, request.workload):
-            raise HarnessError(
-                f"policy {policy!r} placed {request.workload!r} on "
-                f"ineligible node {view.nodes[node_index].name}")
-        node = view.nodes[node_index]
-        profile = profiles[(node.platform_kind, request.workload)]
-        t_start = max(t_dispatch, view.free_at(node_index))
-        t_complete = t_start + profile.time_s
-        outcomes.append(RequestOutcome(
-            req_id=request.req_id,
-            workload=request.workload,
-            node=node.name,
-            node_index=node_index,
-            platform_kind=node.platform_kind,
-            t_arrival_s=request.t_arrival_s,
-            t_start_s=t_start,
-            t_complete_s=t_complete,
-            deadline_s=request.deadline_s,
-            energy_j=profile.energy_j,
-            carbon_g=(carbon.grams(profile.energy_j, t_start, node_index)
-                      if carbon is not None else None)))
-        view.note_dispatch(node_index, request.workload, t_complete)
-        heapq.heappush(pending, (t_complete, seq, len(outcomes) - 1))
-        seq += 1
-        notes = [f"policy:{policy}", f"node:{node.name}",
-                 f"reason:{reason}",
-                 f"deadline_s:{request.deadline_s:.1f}"]
-        if t_dispatch > request.t_arrival_s:
-            notes.append(
-                f"deferred:{t_dispatch - request.t_arrival_s:.1f}s")
-        records.append(DecisionRecord(
-            exit_path=EXIT_FLEET_PLACEMENT,
-            kernel=request.workload,
-            alpha=profile.final_alpha or 0.0,
-            tenant=node.name,
-            sim_time_s=t_dispatch,
-            notes=notes))
-        if obs is not None:
-            obs.inc("fleet.dispatches")
-            obs.inc(f"fleet.dispatches.{node.platform_kind}")
-
-    retire(float("inf"))
-
-    cells = tuple(profiles[pair] for pair in sorted(profiles))
-    result = FleetResult(
-        fleet=fleet, trace=trace, policy=policy,
-        outcomes=tuple(outcomes), cells=cells,
-        placement_records=tuple(records), cells_executed=executed)
-    if obs is not None:
-        for record in records:
-            obs.decision(record)
-        obs.set_gauge("fleet.nodes", fleet.n_nodes)
-        obs.observe("fleet.energy_j", result.total_energy_j)
-        span.__exit__(None, None, None)
-    return result
-
-
-def compare_fleet_policies(fleet: FleetSpec, trace: TraceSpec,
-                           policies: Sequence[str] = PLACEMENT_POLICIES,
-                           engine: Optional[ExecutionEngine] = None,
-                           observer: Optional[Observer] = None,
-                           dispatch_mode: str = "reference",
-                           chunk_size: int = DEFAULT_CHUNK_SIZE
-                           ) -> FleetComparisonResult:
-    """Route the same trace under each policy (cells resolve once -
-    the engine cache dedupes across policies)."""
-    results = tuple(
-        run_fleet(fleet, trace, policy=policy, engine=engine,
-                  observer=observer, dispatch_mode=dispatch_mode,
-                  chunk_size=chunk_size)
-        for policy in policies)
-    return FleetComparisonResult(fleet=fleet, trace=trace, results=results)
-
-
-# -- streaming dispatch ----------------------------------------------------------
-#
-# The reference loop above materializes one RequestOutcome and one
-# DecisionRecord per request and sorts every latency at the end -
-# O(requests) objects, hopeless at millions of requests.  The
-# streaming pipeline below routes the same trace from its chunked
-# columnar form (repro.fleet.trace.trace_columns): vectorized
-# placement for the stateless policies, round-major FIFO scheduling,
-# bucketed completion retirement for the stateful ones, and streaming
-# accounting (quantile sketch, incremental column fingerprints,
-# sampled decision records).  Placement decisions and per-request
-# timestamps are byte-identical to the reference loop; the
-# cross-mode lock is FleetResult.stream_fingerprint() ==
-# FleetStreamResult.fingerprint().
 
 #: Column schema of the streaming fingerprint: (name, little-endian
 #: dtype) in fixed order.  Each column hashes its raw bytes across
@@ -652,10 +477,11 @@ class _BucketRetirement:
     A node completes its queue in dispatch order (per-node
     ``t_complete`` is nondecreasing), so the globally earliest pending
     completion is always one of the per-node queue heads.  A heap over
-    at most ``n_nodes`` heads therefore replays the reference loop's
-    ``(t_complete, seq)`` pop order exactly - equal instants break on
-    the dispatch sequence, seq is unique - while per-request cost
-    drops from heap churn over all in-flight work to one deque append.
+    at most ``n_nodes`` heads therefore replays a single
+    ``(t_complete, seq)`` pending heap's pop order exactly - equal
+    instants break on the dispatch sequence, seq is unique - while
+    per-request cost drops from heap churn over all in-flight work to
+    one deque append.
     """
 
     def __init__(self, n_nodes: int) -> None:
@@ -724,12 +550,414 @@ def _fifo_schedule(arrivals: np.ndarray, service: np.ndarray,
 
 
 @dataclass
+class _Chunk:
+    """One chunk of routed requests; every column in dispatch order."""
+
+    #: Dispatch position of the chunk's first row.
+    start: int
+    req_id: np.ndarray
+    workload_idx: np.ndarray
+    t_arrival_s: np.ndarray
+    deadline_s: np.ndarray
+    t_dispatch_s: np.ndarray
+    node_index: np.ndarray
+    #: Platform-class index of each row's node (:data:`_PLATFORM_ORDER`).
+    kind_idx: np.ndarray
+    t_start_s: np.ndarray
+    t_complete_s: np.ndarray
+    missed: np.ndarray
+    #: The policy's reason per row (view-reading policies only).
+    reasons: Optional[List[str]]
+
+    def __len__(self) -> int:
+        return len(self.req_id)
+
+
+class _DispatchLoop:
+    """The fleet's one dispatch loop.
+
+    Construction validates the inputs and expands the trace into
+    columns; :meth:`chunks` resolves the cells, routes the trace and
+    yields one :class:`_Chunk` per ``chunk_size`` dispatches.  Every
+    policy keeps its queue state in the :class:`FleetView`'s
+    class-major slots.
+    """
+
+    def __init__(self, fleet: FleetSpec, trace: TraceSpec, policy: str,
+                 engine: Optional[ExecutionEngine],
+                 observer: Optional[Observer], chunk_size: int) -> None:
+        if chunk_size <= 0:
+            raise HarnessError("chunk_size must be positive")
+        self.placer = make_policy(policy, seed=fleet.seed)  # validates
+        self.fleet, self.trace, self.policy = fleet, trace, policy
+        self.engine = engine if engine is not None else get_default_engine()
+        self.obs = (observer if observer is not None and observer.enabled
+                    else None)
+        self.chunk_size = chunk_size
+        self.nodes = fleet.nodes()
+        self.node_names = [n.name for n in self.nodes]
+        self.node_kind = np.array(
+            [_PLATFORM_ORDER.index(n.platform_kind) for n in self.nodes],
+            dtype=np.int64)
+        self.view = FleetView(self.nodes)
+        self.node_slots = np.asarray(self.view.node_slots, dtype=np.int64)
+        self.workloads = trace.workloads
+        self.carbon = (fleet.carbon.trace() if fleet.carbon is not None
+                       else None)
+        self.columns = trace_columns(trace)
+        self.n_requests = len(self.columns[0])
+
+    def _resolve_cells(self) -> None:
+        """Eligibility, the cell batch and the (class, workload) tables."""
+        view, workloads = self.view, self.workloads
+        w_col = self.columns[1]
+        self.present = [int(wi) for wi in np.unique(w_col)]
+        bad = [wi for wi in self.present
+               if not view.eligible_kinds(workloads[wi])]
+        if bad:
+            bad_mask = np.isin(w_col, np.asarray(bad, dtype=w_col.dtype))
+            first = int(np.argmax(bad_mask))
+            raise HarnessError(
+                f"request {first}: no node in this fleet can run "
+                f"workload {workloads[int(w_col[first])]!r}")
+        pairs = sorted({(kind, workloads[wi]) for wi in self.present
+                        for kind in view.eligible_kinds(workloads[wi])})
+        profiles, self.cells_executed = _run_cell_batch(
+            self.fleet, pairs, self.engine, self.obs)
+        self.cells = tuple(profiles[pair] for pair in pairs)
+        # Tables indexed [class, workload index].  A name the trace
+        # lists twice fills every one of its indices: the columns
+        # carry its last index.  ``profile_rows`` keeps the profiles
+        # themselves, whose scalars (some numpy) outcomes carry as is.
+        shape = (len(_PLATFORM_ORDER), len(workloads))
+        self.svc_table = np.full(shape, np.nan)
+        self.energy_table = np.full(shape, np.nan)
+        self.eligible_kind_mask = np.zeros(shape, dtype=bool)
+        self.profile_rows: List[List[Optional[FleetCellProfile]]] = [
+            [None] * len(workloads) for _ in _PLATFORM_ORDER]
+        for (kind, workload), profile in profiles.items():
+            k = _PLATFORM_ORDER.index(kind)
+            for wi, name in enumerate(workloads):
+                if name == workload:
+                    self.svc_table[k, wi] = profile.time_s
+                    self.energy_table[k, wi] = profile.energy_j
+                    self.eligible_kind_mask[k, wi] = True
+                    self.profile_rows[k][wi] = profile
+
+    def chunks(self) -> Iterator[_Chunk]:
+        obs = self.obs
+        with (obs.span("fleet.run", policy=self.policy,
+                       nodes=len(self.nodes), trace=self.trace.kind,
+                       requests=self.n_requests)
+              if obs is not None else nullcontext()):
+            self._resolve_cells()
+            place = self._placement()
+            # Dispatch order: arrival order, or release order from the
+            # carbon hold windows (ties on request id).
+            t_col, w_col, d_col = self.columns
+            td_col = _dispatch_times(t_col, d_col,
+                                     self.trace.deferral_fraction,
+                                     self.carbon)
+            order = None
+            if td_col is not t_col:
+                order = np.lexsort((np.arange(len(td_col)), td_col))
+                t_col, w_col, d_col, td_col = (t_col[order], w_col[order],
+                                               d_col[order], td_col[order])
+            for start in range(0, self.n_requests, self.chunk_size):
+                stop = min(start + self.chunk_size, self.n_requests)
+                t_ch, w_ch, d_ch = (t_col[start:stop], w_col[start:stop],
+                                    d_col[start:stop])
+                td_ch = td_col[start:stop]
+                ids = (order[start:stop] if order is not None
+                       else np.arange(start, stop, dtype=np.int64))
+                started = time.perf_counter()
+                with (obs.span("fleet.dispatch.chunk",
+                               index=start // self.chunk_size,
+                               start_id=start, requests=stop - start)
+                      if obs is not None else nullcontext()):
+                    nodes_ch, ts_ch, tc_ch, reasons = place(
+                        start, ids, t_ch, td_ch, w_ch, d_ch)
+                    kind_idx = self.node_kind[nodes_ch]
+                    eligible = self.eligible_kind_mask[kind_idx, w_ch]
+                    if not bool(np.all(eligible)):
+                        bad_i = int(np.argmin(eligible))
+                        raise HarnessError(
+                            f"policy {self.policy!r} placed "
+                            f"{self.workloads[int(w_ch[bad_i])]!r} on "
+                            f"ineligible node "
+                            f"{self.node_names[int(nodes_ch[bad_i])]}")
+                    missed = (tc_ch - t_ch) > d_ch
+                    if obs is not None:
+                        m = stop - start
+                        elapsed = time.perf_counter() - started
+                        kinds = np.bincount(kind_idx, minlength=2)
+                        obs.inc("fleet.dispatch.requests", m)
+                        obs.inc("fleet.dispatches", m)
+                        obs.inc("fleet.dispatches.desktop", int(kinds[0]))
+                        obs.inc("fleet.dispatches.tablet", int(kinds[1]))
+                        # Every dispatched request completes; each is
+                        # counted with its chunk.
+                        obs.inc("fleet.completions", m)
+                        obs.inc("fleet.deadline_misses",
+                                int(np.count_nonzero(missed)))
+                        obs.set_gauge("fleet.dispatch.req_per_s",
+                                      m / elapsed if elapsed > 0.0 else 0.0)
+                        obs.set_gauge("fleet.backlog", float(np.sum(
+                            np.maximum(self.view.slot_free_at
+                                       - float(td_ch[-1]), 0.0))))
+                yield _Chunk(
+                    start=start, req_id=ids, workload_idx=w_ch,
+                    t_arrival_s=t_ch, deadline_s=d_ch, t_dispatch_s=td_ch,
+                    node_index=nodes_ch, kind_idx=kind_idx, t_start_s=ts_ch,
+                    t_complete_s=tc_ch, missed=missed, reasons=reasons)
+            if obs is not None:
+                obs.set_gauge("fleet.nodes", len(self.nodes))
+
+    # -- placement ---------------------------------------------------------------
+    #
+    # The placement functions take one chunk's (dispatch position of
+    # row 0, request ids, arrivals, dispatch instants, workload
+    # indices, deadlines) and return (nodes, starts, completions,
+    # reasons or None).  The dispatch instant is the fleet clock: it
+    # drives view.now, retirement and the FIFO start.
+
+    def _placement(self):
+        view, present = self.view, self.present
+        eligible = {wi: np.asarray(view.eligible_nodes(self.workloads[wi]),
+                                   dtype=np.int64) for wi in present}
+        if self.policy == "random":
+            # The policy's exact randrange stream, drawn in bulk in
+            # dispatch order and carried across chunks.
+            self._draws = MTStream(self.fleet.seed ^ RANDOM_POLICY_SALT)
+            width = max((len(v) for v in eligible.values()), default=1)
+            self._eligible_matrix = np.zeros((len(self.workloads), width),
+                                             dtype=np.int64)
+            self._eligible_sizes = np.ones(len(self.workloads),
+                                           dtype=np.int64)
+            for wi, nodes in eligible.items():
+                self._eligible_matrix[wi, :len(nodes)] = nodes
+                self._eligible_sizes[wi] = len(nodes)
+            return self._place_fifo
+        if self.policy == "round_robin":
+            # Cursor arithmetic holds when every node can run every
+            # workload the trace contains; otherwise the cursor scans.
+            self._rr_cursor = 0
+            self._rr_uniform = all(len(eligible[wi]) == len(self.nodes)
+                                   for wi in present)
+            return self._place_fifo
+        if self.policy == "least_loaded":
+            self._slot_nodes = np.asarray(view.slot_nodes, dtype=np.int64)
+            slot_kind = self.node_kind[self._slot_nodes]
+            self._slot_service = {wi: self.svc_table[slot_kind, wi].tolist()
+                                  for wi in present}
+            return self._place_least_loaded
+        self._retirement = _BucketRetirement(len(self.nodes))
+        return self._place_by_view
+
+    def _place_fifo(self, start, ids, t_ch, td_ch, w_ch, d_ch):
+        # random and round_robin read no dispatch state: pick every
+        # node of the chunk, then one vectorized FIFO pass.
+        m, n_nodes = len(w_ch), len(self.nodes)
+        if self.policy == "random":
+            nodes_ch = self._eligible_matrix[
+                w_ch, self._draws.randbelow(self._eligible_sizes[w_ch])]
+        elif self._rr_uniform:
+            nodes_ch = (self._rr_cursor
+                        + np.arange(m, dtype=np.int64)) % n_nodes
+            self._rr_cursor = int((self._rr_cursor + m) % n_nodes)
+        else:
+            nodes_ch = np.empty(m, dtype=np.int64)
+            mask, node_kind = self.eligible_kind_mask, self.node_kind
+            for i, wi in enumerate(w_ch.tolist()):
+                for step in range(n_nodes):
+                    idx = (self._rr_cursor + step) % n_nodes
+                    if mask[node_kind[idx], wi]:
+                        nodes_ch[i] = idx
+                        self._rr_cursor = idx + 1
+                        break
+        ts_ch, tc_ch = _fifo_schedule(
+            td_ch, self.svc_table[self.node_kind[nodes_ch], w_ch], nodes_ch,
+            self.node_slots, self.view.slot_free_at)
+        return nodes_ch, ts_ch, tc_ch, None
+
+    def _place_least_loaded(self, start, ids, t_ch, td_ch, w_ch, d_ch):
+        # Sequential by nature (each dispatch moves the backlog the
+        # next one reads); the lookup is the view's slice argmin over
+        # the workload's eligible slot range.
+        view, slot_service = self.view, self._slot_service
+        free, least_loaded_slot = view.slot_free_at, view.least_loaded_slot
+        spans = {wi: view.eligible_span(self.workloads[wi])
+                 for wi in self.present}
+        slots_ch, starts, completes = array("q"), array("d"), array("d")
+        for t, wi in zip(td_ch.tolist(), w_ch.tolist()):
+            view.now = t
+            slot = least_loaded_slot(*spans[wi])
+            t_start = max(t, free.item(slot))
+            t_complete = t_start + slot_service[wi][slot]
+            free[slot] = t_complete
+            slots_ch.append(slot)
+            starts.append(t_start)
+            completes.append(t_complete)
+        return (self._slot_nodes[np.frombuffer(slots_ch, dtype=np.int64)],
+                np.frombuffer(starts, dtype=np.float64),
+                np.frombuffer(completes, dtype=np.float64), None)
+
+    def _place_by_view(self, start, ids, t_ch, td_ch, w_ch, d_ch):
+        # The view-reading policies: the real FleetView and policy
+        # object per request, with bucketed retirement feeding the
+        # view's completion stats in dispatch-sequence order.
+        view, place = self.view, self.placer.place
+        retirement, rows = self._retirement, self.profile_rows
+        node_kind = self.node_kind.tolist()
+        m = len(w_ch)
+        nodes_ch = np.empty(m, dtype=np.int64)
+        ts_ch = np.empty(m, dtype=np.float64)
+        tc_ch = np.empty(m, dtype=np.float64)
+        reasons: List[str] = []
+        for i, (req_id, t_arrival, t, wi, deadline) in enumerate(zip(
+                ids.tolist(), t_ch.tolist(), td_ch.tolist(), w_ch.tolist(),
+                d_ch.tolist())):
+            workload = self.workloads[wi]
+            view.now = t
+            for node_i, payload in retirement.pop_until(t):
+                view.note_completion(node_i, *payload)
+            node_index, reason = place(view, FleetRequest(
+                req_id=req_id, t_arrival_s=t_arrival, workload=workload,
+                deadline_s=deadline))
+            profile = rows[node_kind[node_index]][wi]
+            if profile is None:
+                raise HarnessError(
+                    f"policy {self.policy!r} placed {workload!r} on "
+                    f"ineligible node {self.node_names[node_index]}")
+            t_start = max(t, view.free_at(node_index))
+            t_complete = t_start + profile.time_s
+            view.note_dispatch(node_index, workload, t_complete)
+            retirement.push(node_index, t_complete, start + i,
+                            (workload, t_complete - t_start,
+                             profile.energy_j))
+            nodes_ch[i] = node_index
+            ts_ch[i] = t_start
+            tc_ch[i] = t_complete
+            reasons.append(reason)
+        return nodes_ch, ts_ch, tc_ch, reasons
+
+    # -- what the consumers read -------------------------------------------------
+
+    def record(self, chunk: _Chunk, i: int) -> DecisionRecord:
+        """Row ``i``'s placement audit record."""
+        node, wi = int(chunk.node_index[i]), int(chunk.workload_idx[i])
+        t_arrival = float(chunk.t_arrival_s[i])
+        t_dispatch = float(chunk.t_dispatch_s[i])
+        if chunk.reasons is not None:
+            reason = chunk.reasons[i]
+        elif self.policy == "least_loaded":
+            # The backlog it chose: max(0, free_at - now).
+            reason = f"backlog={float(chunk.t_start_s[i]) - t_dispatch:.3f}s"
+        else:
+            reason = "uniform" if self.policy == "random" else "cursor"
+        name = self.node_names[node]
+        notes = [f"policy:{self.policy}", f"node:{name}",
+                 f"reason:{reason}",
+                 f"deadline_s:{float(chunk.deadline_s[i]):.1f}"]
+        if t_dispatch > t_arrival:
+            notes.append(f"deferred:{t_dispatch - t_arrival:.1f}s")
+        profile = self.profile_rows[int(chunk.kind_idx[i])][wi]
+        return DecisionRecord(
+            exit_path=EXIT_FLEET_PLACEMENT, kernel=self.workloads[wi],
+            alpha=profile.final_alpha or 0.0, tenant=name,
+            sim_time_s=t_dispatch, notes=notes)
+
+    def profiles(self, chunk: _Chunk) -> List[FleetCellProfile]:
+        """The cell profile that served each row."""
+        rows = self.profile_rows
+        return [rows[k][wi] for k, wi in zip(chunk.kind_idx.tolist(),
+                                             chunk.workload_idx.tolist())]
+
+    def carbon_g(self, chunk: _Chunk) -> Optional[List[float]]:
+        """Each row's carbon mass: its energy priced at the grid
+        intensity of its start, in its node's region (None on
+        carbon-blind fleets)."""
+        if self.carbon is None:
+            return None
+        grams = self.carbon.grams
+        return [grams(profile.energy_j, t_start, node)
+                for profile, t_start, node in zip(
+                    self.profiles(chunk), chunk.t_start_s.tolist(),
+                    chunk.node_index.tolist())]
+
+
+def run_fleet(fleet: FleetSpec, trace: TraceSpec,
+              policy: str = "energy_aware",
+              engine: Optional[ExecutionEngine] = None,
+              observer: Optional[Observer] = None) -> FleetResult:
+    """Route ``trace`` over ``fleet`` under one placement policy,
+    keeping every request: one :class:`RequestOutcome` and one
+    placement :class:`DecisionRecord` per request, in dispatch order.
+
+    :func:`dispatch_stream` routes through the same loop and keeps
+    bounded aggregates instead.
+    """
+    loop = _DispatchLoop(fleet, trace, policy, engine, observer,
+                         DEFAULT_CHUNK_SIZE)
+    outcomes: List[RequestOutcome] = []
+    records: List[DecisionRecord] = []
+    for chunk in loop.chunks():
+        carbon_g = loop.carbon_g(chunk)
+        rows = zip(chunk.req_id.tolist(), chunk.workload_idx.tolist(),
+                   chunk.node_index.tolist(), chunk.t_arrival_s.tolist(),
+                   chunk.t_start_s.tolist(), chunk.deadline_s.tolist(),
+                   loop.profiles(chunk),
+                   carbon_g if carbon_g is not None else repeat(None))
+        for req_id, wi, node, t_arrival, t_start, deadline, profile, \
+                grams in rows:
+            # The profile's own scalars, not the float64 tables: the
+            # canonical form reprs them, and a numpy scalar reprs apart
+            # from a float.  ``t_start + time_s`` repeats the loop's add,
+            # so the completion time is the chunk's, bit for bit.
+            outcomes.append(RequestOutcome(
+                req_id=req_id, workload=loop.workloads[wi],
+                node=loop.node_names[node], node_index=node,
+                platform_kind=profile.platform_kind, t_arrival_s=t_arrival,
+                t_start_s=t_start, t_complete_s=t_start + profile.time_s,
+                deadline_s=deadline, energy_j=profile.energy_j,
+                carbon_g=grams))
+        for i in range(len(chunk)):
+            records.append(loop.record(chunk, i))
+            if loop.obs is not None:
+                loop.obs.decision(records[-1])
+    result = FleetResult(
+        fleet=fleet, trace=trace, policy=policy,
+        outcomes=tuple(outcomes), cells=loop.cells,
+        placement_records=tuple(records),
+        cells_executed=loop.cells_executed)
+    if loop.obs is not None:
+        loop.obs.observe("fleet.energy_j", result.total_energy_j)
+    return result
+
+
+def compare_fleet_policies(fleet: FleetSpec, trace: TraceSpec,
+                           policies: Sequence[str] = PLACEMENT_POLICIES,
+                           engine: Optional[ExecutionEngine] = None,
+                           observer: Optional[Observer] = None
+                           ) -> FleetComparisonResult:
+    """Route the same trace under each policy (cells resolve once -
+    the engine cache dedupes across policies)."""
+    results = tuple(
+        run_fleet(fleet, trace, policy=policy, engine=engine,
+                  observer=observer)
+        for policy in policies)
+    return FleetComparisonResult(fleet=fleet, trace=trace, results=results)
+
+
+# -- streaming aggregates --------------------------------------------------------
+
+@dataclass
 class FleetStreamResult:
-    """Streaming-mode routing result: aggregates, not outcomes.
+    """A routing kept as aggregates, not outcomes.
 
     Mirrors the :class:`FleetResult` read API (request counts, energy,
-    latency percentiles, misses, fingerprints, render) so comparisons
-    and the CLI treat both modes uniformly - but holds O(nodes +
+    carbon, latency percentiles, misses, fingerprint, render) so
+    comparisons and the CLI treat both uniformly - but holds O(nodes +
     sketch + sampled records) state, never O(requests).
     """
 
@@ -742,13 +970,15 @@ class FleetStreamResult:
     cells: Tuple[FleetCellProfile, ...]
     cells_executed: int
     dispatch_counts: Dict[str, int]
-    energy_total_j: float
+    #: Busy energy, computed exactly as sum(cell count x cell energy) -
+    #: chunk-size independent.
+    total_energy_j: float
     makespan_s: float
     deadline_misses: int
     sketch: LatencySketch
     busy_s_by_node: np.ndarray
     #: Sampled placement audit records: every ``sample_stride``-th
-    #: request plus every deadline miss, capped at
+    #: dispatch plus every deadline miss, capped at
     #: :data:`MAX_SAMPLED_RECORDS`.
     placement_records: Tuple[DecisionRecord, ...]
     #: Exact count of requests that *matched* the sampling criteria
@@ -756,14 +986,11 @@ class FleetStreamResult:
     records_matched: int
     sample_stride: int
     digest: str
+    #: Carbon mass across the fleet, grams (0 on carbon-blind fleets);
+    #: equal to :attr:`FleetResult.total_carbon_g` to the bit.
+    total_carbon_g: float = 0.0
 
     # -- accounting (FleetResult-compatible surface) -----------------------------
-
-    @property
-    def total_energy_j(self) -> float:
-        """Busy energy, computed exactly as sum(cell count x cell
-        energy) - chunk-size independent."""
-        return self.energy_total_j
 
     @property
     def miss_rate(self) -> float:
@@ -784,58 +1011,25 @@ class FleetStreamResult:
 
     @property
     def idle_energy_estimate_j(self) -> float:
-        horizon = self.makespan_s
-        idle_power = {
-            kind: self.fleet.platform_spec(kind).idle_power_w
-            for kind in ("desktop", "tablet")}
-        total = 0.0
-        for node in self.fleet.nodes():
-            busy = float(self.busy_s_by_node[node.index])
-            total += idle_power[node.platform_kind] * max(
-                0.0, horizon - busy)
-        return total
+        return _idle_energy_j(self.fleet, self.makespan_s,
+                              self.busy_s_by_node.tolist())
 
     # -- identity ----------------------------------------------------------------
 
     def fingerprint(self) -> str:
-        """The incremental column digest (chunk-size independent);
-        byte-equal to :meth:`FleetResult.stream_fingerprint`."""
-        return self.digest
-
-    def stream_fingerprint(self) -> str:
+        """The incremental column digest (chunk-size independent)."""
         return self.digest
 
     def render(self) -> str:
-        kinds = self.dispatches_by_kind()
-        rows = [
-            ("requests", f"{self.n_requests} "
-                         f"({self.n_chunks} chunks of <= {self.chunk_size})"),
-            ("nodes", f"{self.fleet.n_nodes} "
-                      f"({self.fleet.desktop_fraction:.0%} desktop)"),
-            ("distinct cells", f"{len(self.cells)} "
-                               f"({self.cells_executed} executed, rest "
-                               f"cached/deduped)"),
-            ("dispatches", f"desktop={kinds.get('desktop', 0)} "
-                           f"tablet={kinds.get('tablet', 0)}"),
-            ("fleet energy (busy)", f"{self.total_energy_j:.1f} J"),
-            ("idle-floor estimate", f"{self.idle_energy_estimate_j:.1f} J "
-                                    f"over {self.makespan_s:.1f} s"),
-            ("mean latency", f"{self.mean_latency_s:.2f} s"),
-            ("p95 latency", f"{self.latency_percentile_s(95):.2f} s "
-                            f"(sketch, +/-{self.sketch.rel_err:.0%})"),
-            ("deadline misses", f"{self.deadline_misses} "
-                                f"({self.miss_rate:.1%})"),
-            ("sampled records", f"{len(self.placement_records)} kept of "
-                                f"{self.records_matched} matched "
-                                f"(stride {self.sample_stride} + misses)"),
-        ]
-        return "\n".join([
-            heading(f"Fleet dispatch (streaming): policy={self.policy}, "
-                    f"trace={self.trace.kind}"),
-            format_table(["quantity", "value"], rows),
-            "",
-            f"fingerprint: {self.fingerprint()}",
-        ])
+        return _render_dispatch(
+            self, "Fleet dispatch (streaming)",
+            f"{self.n_requests} "
+            f"({self.n_chunks} chunks of <= {self.chunk_size})",
+            f"{self.latency_percentile_s(95):.2f} s "
+            f"(sketch, +/-{self.sketch.rel_err:.0%})",
+            [("sampled records", f"{len(self.placement_records)} kept of "
+                                 f"{self.records_matched} matched "
+                                 f"(stride {self.sample_stride} + misses)")])
 
 
 def dispatch_stream(fleet: FleetSpec, trace: TraceSpec,
@@ -846,305 +1040,72 @@ def dispatch_stream(fleet: FleetSpec, trace: TraceSpec,
                     sample_stride: int = DEFAULT_SAMPLE_STRIDE,
                     max_records: int = MAX_SAMPLED_RECORDS
                     ) -> FleetStreamResult:
-    """Route ``trace`` over ``fleet`` via the streaming pipeline.
+    """Route ``trace`` over ``fleet``, keeping streaming aggregates.
 
-    Identical placement decisions and per-request timestamps to
-    :func:`run_fleet` in reference mode (the cross-mode fingerprint
-    lock), at O(nodes + chunk) dispatch state instead of O(requests).
-    ``random`` and ``round_robin`` run as block operations.
-    ``least_loaded`` is per-request and sequential (each dispatch moves
-    the backlog the next one reads), one slice argmin per request.  The
-    view-reading policies (energy_aware / deadline_aware) run scalar
-    over the columnar chunks with bucketed completion retirement.
-    Every policy keeps its queue state in the :class:`FleetView`'s
-    class-major slots.
+    The same loop, placement decisions and timestamps as
+    :func:`run_fleet`, at O(nodes + chunk) accounting state instead of
+    O(requests): a latency sketch, per-column digests, and sampled
+    decision records.  On carbon-aware fleets it also keeps one float
+    per request, for an exactly rounded carbon total.
     """
-    if fleet.carbon is not None:
-        raise HarnessError(
-            "streaming dispatch does not support carbon-aware fleets "
-            "yet (temporal shifting reorders the request stream); use "
-            "dispatch_mode='reference'")
-    if engine is None:
-        engine = get_default_engine()
-    if chunk_size <= 0:
-        raise HarnessError("chunk_size must be positive")
     if sample_stride <= 0:
         raise HarnessError("sample_stride must be positive")
-    obs = observer if observer is not None and observer.enabled else None
-    placer = make_policy(policy, seed=fleet.seed)  # validates the name
-    nodes = fleet.nodes()
-    n_nodes = len(nodes)
-    view = FleetView(nodes)
-    workloads = trace.workloads
-    t_col, w_col, d_col = trace_columns(trace)
-    n_requests = len(t_col)
-
-    if obs is not None:
-        span = obs.span("fleet.run", policy=policy, nodes=n_nodes,
-                        trace=trace.kind, requests=n_requests,
-                        mode="streaming")
-        span.__enter__()
-
-    # Eligibility + cell resolution (same batch, same order, same
-    # first-bad-request error as the reference's _resolve_cells).
-    present = [int(wi) for wi in np.unique(w_col)]
-    bad = [wi for wi in present
-           if not view.eligible_kinds(workloads[wi])]
-    if bad:
-        bad_mask = np.isin(w_col, np.asarray(bad, dtype=w_col.dtype))
-        first = int(np.argmax(bad_mask))
-        raise HarnessError(
-            f"request {first}: no node in this fleet can run "
-            f"workload {workloads[int(w_col[first])]!r}")
-    pairs = sorted({(kind, workloads[wi]) for wi in present
-                    for kind in view.eligible_kinds(workloads[wi])})
-    profiles, executed = _run_cell_batch(fleet, pairs, engine, obs)
-    cells = tuple(profiles[pair] for pair in pairs)
-
-    # Lookup tables: service/energy/alpha per (class, workload) cell,
-    # class per node, eligible node sets per workload (desktop block
-    # then tablet block, ascending - the FleetView order).
-    n_workloads = len(workloads)
-    svc_table = np.full((2, n_workloads), np.nan)
-    energy_table = np.full((2, n_workloads), np.nan)
-    alpha_table = np.zeros((2, n_workloads))
-    eligible_kind_mask = np.zeros((2, n_workloads), dtype=bool)
-    for (kind, workload), profile in profiles.items():
-        k = _PLATFORM_ORDER.index(kind)
-        wi = workloads.index(workload)
-        svc_table[k, wi] = profile.time_s
-        energy_table[k, wi] = profile.energy_j
-        alpha_table[k, wi] = profile.final_alpha or 0.0
-        eligible_kind_mask[k, wi] = True
-    node_kind = np.array(
-        [_PLATFORM_ORDER.index(n.platform_kind) for n in nodes],
-        dtype=np.int64)
-    node_names = [n.name for n in nodes]
-    node_slots = np.asarray(view.node_slots, dtype=np.int64)
-    slot_nodes = np.asarray(view.slot_nodes, dtype=np.int64)
-    eligible_by_w = {
-        wi: np.asarray(view.eligible_nodes(workloads[wi]), dtype=np.int64)
-        for wi in present}
-
-    if policy == "random":
-        # The policy's exact randrange stream, drawn in bulk in
-        # arrival order and carried across chunks.
-        draws = MTStream(fleet.seed ^ RANDOM_POLICY_SALT)
-        max_eligible = max(
-            (len(v) for v in eligible_by_w.values()), default=1)
-        eligible_matrix = np.zeros((n_workloads, max_eligible),
-                                   dtype=np.int64)
-        eligible_sizes = np.ones(n_workloads, dtype=np.int64)
-        for wi, arr in eligible_by_w.items():
-            eligible_matrix[wi, :len(arr)] = arr
-            eligible_sizes[wi] = len(arr)
-    rr_cursor = 0
-    # Cursor arithmetic only holds when every node is eligible for
-    # every workload the trace contains; otherwise the scalar cursor
-    # scan below replays the reference exactly.
-    rr_uniform = all(len(eligible_by_w[wi]) == n_nodes for wi in present)
-    if policy == "least_loaded":
-        free = view.slot_free_at
-        least_loaded_slot = view.least_loaded_slot
-        spans = {wi: view.eligible_span(workloads[wi]) for wi in present}
-        slot_kind = node_kind[slot_nodes]
-        slot_service = {wi: svc_table[slot_kind, wi].tolist()
-                        for wi in present}
-    stateful = policy in ("energy_aware", "deadline_aware")
-    retirement = _BucketRetirement(n_nodes) if stateful else None
-
-    busy_s = np.zeros(n_nodes, dtype=np.float64)
-    cell_counts = np.zeros((2, n_workloads), dtype=np.int64)
+    loop = _DispatchLoop(fleet, trace, policy, engine, observer, chunk_size)
+    n_workloads = len(trace.workloads)
+    busy_s = np.zeros(len(loop.nodes), dtype=np.float64)
+    cell_counts = np.zeros((len(_PLATFORM_ORDER), n_workloads),
+                           dtype=np.int64)
     sketch = LatencySketch()
     digests = _ColumnDigests()
+    carbon_g = array("d")
     makespan = 0.0
     misses_total = 0
     records: List[DecisionRecord] = []
     records_matched = 0
     n_chunks = 0
-
-    for start in range(0, n_requests, chunk_size):
-        stop = min(start + chunk_size, n_requests)
-        t_ch = t_col[start:stop]
-        w_ch = w_col[start:stop]
-        d_ch = d_col[start:stop]
-        m = stop - start
-        chunk_started = time.perf_counter()
-        chunk_span = None
-        if obs is not None:
-            chunk_span = obs.span("fleet.dispatch.chunk",
-                                  index=n_chunks, start_id=start,
-                                  requests=m)
-            chunk_span.__enter__()
-
-        reasons: Dict[int, str] = {}
-        if policy == "random":
-            nodes_ch = eligible_matrix[
-                w_ch, draws.randbelow(eligible_sizes[w_ch])]
-            service = svc_table[node_kind[nodes_ch], w_ch]
-            ts_ch, tc_ch = _fifo_schedule(t_ch, service, nodes_ch,
-                                          node_slots, view.slot_free_at)
-        elif policy == "round_robin":
-            if rr_uniform:
-                nodes_ch = (rr_cursor
-                            + np.arange(m, dtype=np.int64)) % n_nodes
-                rr_cursor = int((rr_cursor + m) % n_nodes)
-            else:
-                nodes_ch = np.empty(m, dtype=np.int64)
-                for i in range(m):
-                    wi = int(w_ch[i])
-                    for step in range(n_nodes):
-                        idx = (rr_cursor + step) % n_nodes
-                        if eligible_kind_mask[node_kind[idx], wi]:
-                            nodes_ch[i] = idx
-                            rr_cursor = idx + 1
-                            break
-            service = svc_table[node_kind[nodes_ch], w_ch]
-            ts_ch, tc_ch = _fifo_schedule(t_ch, service, nodes_ch,
-                                          node_slots, view.slot_free_at)
-        elif policy == "least_loaded":
-            # Sequential by nature (each dispatch moves the backlog the
-            # next one reads); the lookup is the view's slice argmin
-            # over the workload's eligible slot range.
-            slots_ch, starts, completes = array("q"), array("d"), array("d")
-            for t, wi in zip(t_ch.tolist(), w_ch.tolist()):
-                view.now = t
-                lo, hi = spans[wi]
-                slot = least_loaded_slot(lo, hi)
-                t_start = max(t, free.item(slot))
-                t_complete = t_start + slot_service[wi][slot]
-                free[slot] = t_complete
-                slots_ch.append(slot)
-                starts.append(t_start)
-                completes.append(t_complete)
-            nodes_ch = slot_nodes[np.frombuffer(slots_ch, dtype=np.int64)]
-            ts_ch = np.frombuffer(starts, dtype=np.float64)
-            tc_ch = np.frombuffer(completes, dtype=np.float64)
-        else:
-            # Stateful policies: the real FleetView + policy object
-            # over columnar chunks, with bucketed retirement feeding
-            # the view's completion stats in exact reference order.
-            nodes_ch = np.empty(m, dtype=np.int64)
-            ts_ch = np.empty(m, dtype=np.float64)
-            tc_ch = np.empty(m, dtype=np.float64)
-            reason_budget = max_records - len(records)
-            for i in range(m):
-                t = float(t_ch[i])
-                wi = int(w_ch[i])
-                workload = workloads[wi]
-                view.now = t
-                for node_i, payload in retirement.pop_until(t):
-                    view.note_completion(node_i, payload[0],
-                                         payload[1], payload[2])
-                request = FleetRequest(
-                    req_id=start + i, t_arrival_s=t,
-                    workload=workload, deadline_s=float(d_ch[i]))
-                node_index, reason = placer.place(view, request)
-                if not view.is_eligible(node_index, workload):
-                    raise HarnessError(
-                        f"policy {policy!r} placed {workload!r} on "
-                        f"ineligible node {view.nodes[node_index].name}")
-                profile = profiles[
-                    (view.nodes[node_index].platform_kind, workload)]
-                t_start = max(t, view.free_at(node_index))
-                t_complete = t_start + profile.time_s
-                view.note_dispatch(node_index, workload, t_complete)
-                retirement.push(
-                    node_index, t_complete, start + i,
-                    (workload, t_complete - t_start, profile.energy_j))
-                nodes_ch[i] = node_index
-                ts_ch[i] = t_start
-                tc_ch[i] = t_complete
-                if (((start + i) % sample_stride == 0
-                     or (t_complete - t) > request.deadline_s)
-                        and len(reasons) < reason_budget):
-                    reasons[i] = reason
-
-        # -- shared per-chunk accounting ---------------------------------------
-        kind_idx = node_kind[nodes_ch]
-        if not bool(np.all(eligible_kind_mask[kind_idx, w_ch])):
-            bad_i = int(np.argmin(eligible_kind_mask[kind_idx, w_ch]))
-            raise HarnessError(
-                f"policy {policy!r} placed "
-                f"{workloads[int(w_ch[bad_i])]!r} on ineligible node "
-                f"{node_names[int(nodes_ch[bad_i])]}")
-        latency = tc_ch - t_ch
-        missed = latency > d_ch
-        n_missed = int(np.count_nonzero(missed))
-        misses_total += n_missed
-        if m:
-            makespan = max(makespan, float(tc_ch.max()))
-        sketch.add_batch(latency)
-        np.add.at(cell_counts, (kind_idx, w_ch.astype(np.int64)), 1)
-        np.add.at(busy_s, nodes_ch, tc_ch - ts_ch)
-        digests.update(workload_idx=w_ch, t_arrival_s=t_ch,
-                       deadline_s=d_ch, node_index=nodes_ch,
-                       t_start_s=ts_ch, t_complete_s=tc_ch)
-
-        global_idx = np.arange(start, stop, dtype=np.int64)
-        sample_mask = ((global_idx % sample_stride) == 0) | missed
-        records_matched += int(np.count_nonzero(sample_mask))
-        new_records_from = len(records)
-        if len(records) < max_records:
-            budget = max_records - len(records)
-            for i in np.flatnonzero(sample_mask)[:budget].tolist():
-                idx = int(nodes_ch[i])
-                wi = int(w_ch[i])
-                if stateful:
-                    reason = reasons.get(i, "")
-                elif policy == "random":
-                    reason = "uniform"
-                elif policy == "round_robin":
-                    reason = "cursor"
-                else:
-                    reason = f"backlog={ts_ch[i] - t_ch[i]:.3f}s"
-                records.append(DecisionRecord(
-                    exit_path=EXIT_FLEET_PLACEMENT,
-                    kernel=workloads[wi],
-                    alpha=float(alpha_table[node_kind[idx], wi]),
-                    tenant=node_names[idx],
-                    sim_time_s=float(t_ch[i]),
-                    notes=[f"policy:{policy}",
-                           f"node:{node_names[idx]}",
-                           f"reason:{reason}",
-                           f"deadline_s:{float(d_ch[i]):.1f}"]))
-
-        if obs is not None:
-            elapsed = time.perf_counter() - chunk_started
-            obs.inc("fleet.dispatch.requests", m)
-            obs.inc("fleet.dispatches", m)
-            kind_counts = np.bincount(kind_idx, minlength=2)
-            obs.inc("fleet.dispatches.desktop", int(kind_counts[0]))
-            obs.inc("fleet.dispatches.tablet", int(kind_counts[1]))
-            obs.inc("fleet.deadline_misses", n_missed)
-            obs.set_gauge("fleet.dispatch.req_per_s",
-                          m / elapsed if elapsed > 0.0 else 0.0)
-            now_end = float(t_ch[-1]) if m else 0.0
-            obs.set_gauge("fleet.backlog", float(np.sum(
-                np.maximum(view.slot_free_at - now_end, 0.0))))
-            for record in records[new_records_from:]:
-                obs.decision(record)
-            chunk_span.__exit__(None, None, None)
+    for chunk in loop.chunks():
+        misses_total += int(np.count_nonzero(chunk.missed))
+        makespan = max(makespan, float(chunk.t_complete_s.max()))
+        sketch.add_batch(chunk.t_complete_s - chunk.t_arrival_s)
+        np.add.at(cell_counts, (chunk.kind_idx,
+                                chunk.workload_idx.astype(np.int64)), 1)
+        np.add.at(busy_s, chunk.node_index,
+                  chunk.t_complete_s - chunk.t_start_s)
+        digests.update(workload_idx=chunk.workload_idx,
+                       t_arrival_s=chunk.t_arrival_s,
+                       deadline_s=chunk.deadline_s,
+                       node_index=chunk.node_index,
+                       t_start_s=chunk.t_start_s,
+                       t_complete_s=chunk.t_complete_s)
+        if loop.carbon is not None:
+            carbon_g.extend(loop.carbon_g(chunk))
+        position = np.arange(chunk.start, chunk.start + len(chunk))
+        sampled = np.flatnonzero(
+            ((position % sample_stride) == 0) | chunk.missed)
+        records_matched += len(sampled)
+        for i in sampled[:max(0, max_records - len(records))].tolist():
+            records.append(loop.record(chunk, i))
+            if loop.obs is not None:
+                loop.obs.decision(records[-1])
         n_chunks += 1
 
-    energy_safe = np.where(np.isnan(energy_table), 0.0, energy_table)
-    energy_total = float(np.sum(cell_counts * energy_safe))
-    dispatch_counts = {"desktop": int(cell_counts[0].sum()),
-                       "tablet": int(cell_counts[1].sum())}
-    digest = _fold_stream_digest(fleet, trace, policy, cells, digests,
-                                 n_requests)
+    energy_safe = np.where(np.isnan(loop.energy_table), 0.0,
+                           loop.energy_table)
     result = FleetStreamResult(
         fleet=fleet, trace=trace, policy=policy,
         chunk_size=chunk_size, n_chunks=n_chunks,
-        n_requests=n_requests, cells=cells, cells_executed=executed,
-        dispatch_counts=dispatch_counts, energy_total_j=energy_total,
+        n_requests=loop.n_requests, cells=loop.cells,
+        cells_executed=loop.cells_executed,
+        dispatch_counts={"desktop": int(cell_counts[0].sum()),
+                         "tablet": int(cell_counts[1].sum())},
+        total_energy_j=float(np.sum(cell_counts * energy_safe)),
         makespan_s=makespan, deadline_misses=misses_total,
         sketch=sketch, busy_s_by_node=busy_s,
         placement_records=tuple(records),
         records_matched=records_matched, sample_stride=sample_stride,
-        digest=digest)
-    if obs is not None:
-        obs.set_gauge("fleet.nodes", n_nodes)
-        obs.observe("fleet.energy_j", result.total_energy_j)
-        span.__exit__(None, None, None)
+        digest=_fold_stream_digest(fleet, trace, policy, loop.cells,
+                                   digests, loop.n_requests),
+        total_carbon_g=math.fsum(carbon_g))
+    if loop.obs is not None:
+        loop.obs.observe("fleet.energy_j", result.total_energy_j)
     return result

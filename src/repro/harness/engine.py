@@ -95,9 +95,9 @@ from repro.workloads.registry import workload_by_abbrev
 #: model-identity gangs sharing a :class:`~repro.soc.vector.VectorCore`.
 #:
 #: v6: the ``fleet-dispatch`` kind joined the dispatch table and
-#: ``RunSpec`` grew ``fleet``/``trace``/``policy``/``dispatch_mode``
-#: (all in the canonical payload), so reference- and streaming-mode
-#: fleet results are distinct cache entries.
+#: ``RunSpec`` grew fleet, trace, policy and dispatch-mode fields (all
+#: in the canonical payload), so reference- and streaming-mode fleet
+#: results were distinct cache entries.
 #:
 #: v7: constrained objectives landed - :class:`SchedulerSpec` grew
 #: ``deadline_s`` and the ``race`` kind (race-to-idle), constrained
@@ -107,7 +107,11 @@ from repro.workloads.registry import workload_by_abbrev
 #:
 #: v8: the ``bounded`` tick mode was removed and its tolerance field
 #: left the canonical platform dict.
-CACHE_SCHEMA_VERSION = 8
+#:
+#: v9: the ``fleet-dispatch`` kind was removed, and with it those four
+#: fields and their canonical keys: the fleet has one dispatch loop
+#: and no run kind of its own.
+CACHE_SCHEMA_VERSION = 9
 
 # -- task kinds -----------------------------------------------------------------
 
@@ -129,26 +133,14 @@ KIND_MULTIPROGRAM = "multiprogram"
 #: dispatcher fans these out; identical (platform, workload, seed)
 #: cells dedupe across thousands of nodes.
 KIND_FLEET_CELL = "fleet-cell"
-#: One full fleet dispatch: a trace routed over a fleet under one
-#: placement policy and one dispatch mode (-> FleetResult or
-#: FleetStreamResult).  Carries the fleet/trace specs, the policy
-#: name, and ``dispatch_mode`` in its canonical form - the two modes
-#: are distinct cache entries by construction.
-KIND_FLEET_DISPATCH = "fleet-dispatch"
 
 _ALL_KINDS = (KIND_APPLICATION, KIND_CHAOS_CELL, KIND_CHAOS_BASELINE,
               KIND_CHAR_SWEEP, KIND_MICROBENCH_TIMELINE, KIND_MULTIPROGRAM,
-              KIND_FLEET_CELL, KIND_FLEET_DISPATCH)
+              KIND_FLEET_CELL)
 
 #: Kinds whose worker rebuilds ``RunSpec.workload`` from the registry.
 _REGISTRY_WORKLOAD_KINDS = (KIND_APPLICATION, KIND_CHAOS_CELL,
                             KIND_CHAOS_BASELINE, KIND_FLEET_CELL)
-
-#: Dispatch-mode names accepted on a ``fleet-dispatch`` spec (kept in
-#: sync with ``repro.fleet.dispatcher.DISPATCH_MODES``; duplicated
-#: here because the engine must not import the fleet layer at module
-#: scope - the fleet dispatcher imports the engine).
-_FLEET_DISPATCH_MODES = ("reference", "streaming")
 
 _SCHEDULER_KINDS = ("cpu", "gpu", "perf", "static", "eas", "race")
 _STRATEGY_NAMES = {"cpu": "CPU", "gpu": "GPU", "perf": "PERF", "eas": "EAS",
@@ -320,39 +312,11 @@ class RunSpec:
     #: Collect an Observer (spans/events/decisions/metrics) in the
     #: worker and return it for merging into the parent's.
     observe: bool = False
-    #: Fleet topology (``fleet-dispatch`` only): a
-    #: :class:`~repro.fleet.topology.FleetSpec`.  Typed loosely so the
-    #: engine never imports the fleet layer at module scope.
-    fleet: Optional[Any] = None
-    #: Arrival trace (``fleet-dispatch`` only): a
-    #: :class:`~repro.fleet.trace.TraceSpec`.
-    trace: Optional[Any] = None
-    #: Placement policy name (``fleet-dispatch`` only).
-    policy: str = ""
-    #: Dispatch implementation (``fleet-dispatch`` only): one of
-    #: ``reference`` / ``streaming``.
-    dispatch_mode: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in _ALL_KINDS:
             raise HarnessError(f"unknown run kind {self.kind!r}; "
                                f"expected one of {_ALL_KINDS}")
-        if self.kind == KIND_FLEET_DISPATCH:
-            if self.fleet is None or self.trace is None:
-                raise HarnessError(
-                    "fleet-dispatch spec needs a FleetSpec and a TraceSpec")
-            if not self.policy:
-                raise HarnessError(
-                    "fleet-dispatch spec needs a placement policy name")
-            if self.dispatch_mode not in _FLEET_DISPATCH_MODES:
-                raise HarnessError(
-                    f"fleet-dispatch spec needs dispatch_mode in "
-                    f"{_FLEET_DISPATCH_MODES}, got {self.dispatch_mode!r}")
-        elif (self.fleet is not None or self.trace is not None
-                or self.policy or self.dispatch_mode):
-            raise HarnessError(
-                f"{self.kind} spec must leave fleet/trace/policy/"
-                f"dispatch_mode empty")
         if self.kind in _REGISTRY_WORKLOAD_KINDS:
             workload_by_abbrev(self.workload)  # UnknownNameError on a miss
         if self.kind in (KIND_APPLICATION, KIND_CHAOS_CELL,
@@ -406,12 +370,6 @@ class RunSpec:
             "tenancy": (self.tenancy.canonical_dict()
                         if self.tenancy is not None else None),
             "observe": self.observe,
-            "fleet": (self.fleet.canonical()
-                      if self.fleet is not None else None),
-            "trace": (self.trace.canonical()
-                      if self.trace is not None else None),
-            "policy": self.policy,
-            "dispatch_mode": self.dispatch_mode,
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -572,17 +530,6 @@ def _run_fleet_cell_spec(spec: RunSpec, observer: Optional[Observer]) -> Any:
     return run_fleet_cell(spec, observer=observer)
 
 
-def _run_fleet_dispatch_spec(spec: RunSpec,
-                             observer: Optional[Observer]) -> Any:
-    # Lazy import: the fleet dispatcher imports this module, so the
-    # engine resolves fleet types only inside the worker.
-    from repro.fleet.dispatcher import run_fleet
-
-    return run_fleet(spec.fleet, spec.trace, policy=spec.policy,
-                     observer=observer,
-                     dispatch_mode=spec.dispatch_mode or "reference")
-
-
 _DISPATCH = {
     KIND_APPLICATION: _run_application_spec,
     KIND_CHAOS_CELL: _run_chaos_cell_spec,
@@ -591,7 +538,6 @@ _DISPATCH = {
     KIND_MICROBENCH_TIMELINE: _run_microbench_timeline_spec,
     KIND_MULTIPROGRAM: _run_multiprogram_spec,
     KIND_FLEET_CELL: _run_fleet_cell_spec,
-    KIND_FLEET_DISPATCH: _run_fleet_dispatch_spec,
 }
 
 

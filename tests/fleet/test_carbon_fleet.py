@@ -1,4 +1,7 @@
-"""Carbon-aware fleet dispatch: pricing, temporal shifting, gating.
+"""Carbon-aware fleet dispatch: pricing, temporal shifting, streaming.
+
+Streaming with carbon and deferral is locked to the oracle in
+``tests/fleet/test_stream.py`` (``TestCarbonStream``).
 
 The dispatcher prices each request's energy at the grid intensity of
 its start time (in the serving node's region) and, when the trace
@@ -119,10 +122,6 @@ class TestDeterminism:
 
 
 class TestStreamingGate:
-    def test_dispatch_stream_rejects_carbon_fleets(self):
-        with pytest.raises(HarnessError, match="carbon"):
-            dispatch_stream(FLEET, TRACE)
-
     def test_dispatch_stream_fine_without_carbon(self):
         result = dispatch_stream(replace(FLEET, carbon=None),
                                  replace(TRACE, duration_s=10.0))

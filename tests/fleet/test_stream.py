@@ -1,9 +1,11 @@
-"""Streaming dispatch: cross-mode equivalence, sketch, sampling, engine.
+"""The fleet's one dispatch loop: oracle lock, sketch, sampling.
 
-The streaming pipeline's contract is *identical placement decisions
-and timestamps* to the reference loop - locked here by byte-equal
-stream fingerprints across every policy and trace family, at any
-chunk size.
+``run_fleet`` and ``dispatch_stream`` consume the same chunked loop.
+Its contract is *identical placement decisions and timestamps* to the
+per-request scalar loop it replaced (the oracle,
+``tests/fleet/reference_dispatch.py``) - locked here by byte-equal
+fingerprints across every policy and trace family, carbon pricing and
+deferral included, at any chunk size.
 """
 
 import dataclasses
@@ -16,7 +18,6 @@ from repro.fleet import (
     PLACEMENT_POLICIES,
     TRACE_KINDS,
     FleetSpec,
-    FleetStreamResult,
     LatencySketch,
     TraceSpec,
     dispatch_stream,
@@ -24,19 +25,13 @@ from repro.fleet import (
 )
 from repro.fleet.dispatcher import EXIT_FLEET_PLACEMENT
 from repro.fleet.policies import CellStats
-from repro.harness.engine import (
-    CACHE_SCHEMA_VERSION,
-    KIND_APPLICATION,
-    KIND_CHAOS_BASELINE,
-    KIND_CHAOS_CELL,
-    KIND_FLEET_CELL,
-    KIND_FLEET_DISPATCH,
-    ExecutionEngine,
-    ResultCache,
-    RunSpec,
-    SchedulerSpec,
-)
+from repro.harness.engine import ExecutionEngine, ResultCache
 from repro.obs.observer import Observer
+from repro.soc.carbon import CarbonSpec
+from tests.fleet.reference_dispatch import (
+    run_fleet_reference,
+    stream_fingerprint,
+)
 
 FLEET = FleetSpec(n_nodes=16, desktop_fraction=0.5, tick_mode="fast",
                   seed=9)
@@ -57,9 +52,12 @@ def engine(tmp_path_factory):
 class TestCrossModeEquivalence:
     @pytest.mark.parametrize("policy", PLACEMENT_POLICIES)
     def test_every_policy_fingerprint_locked(self, engine, policy):
-        ref = run_fleet(FLEET, TRACE, policy=policy, engine=engine)
+        ref = run_fleet_reference(FLEET, TRACE, policy=policy,
+                                  engine=engine)
         st = dispatch_stream(FLEET, TRACE, policy=policy, engine=engine)
-        assert ref.stream_fingerprint() == st.fingerprint()
+        assert stream_fingerprint(ref) == st.fingerprint()
+        assert run_fleet(FLEET, TRACE, policy=policy,
+                         engine=engine).fingerprint() == ref.fingerprint()
         assert ref.n_requests == st.n_requests
         assert ref.deadline_misses == st.deadline_misses
         assert ref.dispatches_by_kind() == st.dispatches_by_kind()
@@ -70,10 +68,11 @@ class TestCrossModeEquivalence:
     @pytest.mark.parametrize("kind", TRACE_KINDS)
     def test_every_trace_family_locked(self, engine, kind):
         trace = dataclasses.replace(TRACE, kind=kind)
-        ref = run_fleet(FLEET, trace, policy="energy_aware", engine=engine)
+        ref = run_fleet_reference(FLEET, trace, policy="energy_aware",
+                                  engine=engine)
         st = dispatch_stream(FLEET, trace, policy="energy_aware",
                              engine=engine)
-        assert ref.stream_fingerprint() == st.fingerprint()
+        assert stream_fingerprint(ref) == st.fingerprint()
 
     def test_sketch_percentile_within_bound(self, engine):
         ref = run_fleet(FLEET, TRACE, policy="least_loaded", engine=engine)
@@ -109,11 +108,12 @@ class TestRandomPlacementStream:
     @pytest.mark.parametrize("workloads", (("MM", "RT"), ("MM", "BFS")))
     def test_chunked_stream_matches_reference(self, engine, workloads):
         trace = dataclasses.replace(self.LONG_TRACE, workloads=workloads)
-        ref = run_fleet(self.FLEET10, trace, policy="random", engine=engine)
+        ref = run_fleet_reference(self.FLEET10, trace, policy="random",
+                                  engine=engine)
         st = dispatch_stream(self.FLEET10, trace, policy="random",
                              engine=engine, chunk_size=7)
         assert st.n_chunks > 1
-        assert ref.stream_fingerprint() == st.fingerprint()
+        assert stream_fingerprint(ref) == st.fingerprint()
 
     def test_mixed_eligibility_really_mixes(self, engine):
         trace = dataclasses.replace(self.LONG_TRACE, workloads=("MM", "BFS"))
@@ -165,19 +165,11 @@ class TestChunkIndependence:
 
 
 class TestModeSwitch:
-    def test_run_fleet_streaming_mode(self, engine):
-        result = run_fleet(FLEET, TRACE, policy="round_robin",
-                           engine=engine, dispatch_mode="streaming")
-        assert isinstance(result, FleetStreamResult)
-        assert "streaming" in result.render()
-
-    def test_unknown_mode_rejected(self, engine):
-        with pytest.raises(HarnessError):
-            run_fleet(FLEET, TRACE, engine=engine, dispatch_mode="turbo")
-
     def test_unknown_policy_rejected(self, engine):
         with pytest.raises(HarnessError):
             dispatch_stream(FLEET, TRACE, policy="psychic", engine=engine)
+        with pytest.raises(HarnessError):
+            run_fleet(FLEET, TRACE, policy="psychic", engine=engine)
 
 
 class TestSampling:
@@ -236,11 +228,13 @@ class TestEmptyTraceRegression:
         assert st.render()
 
     def test_empty_fingerprints_agree_across_modes(self, engine):
-        ref = run_fleet(FLEET, EMPTY_TRACE, policy="least_loaded",
-                        engine=engine)
+        ref = run_fleet_reference(FLEET, EMPTY_TRACE, policy="least_loaded",
+                                  engine=engine)
         st = dispatch_stream(FLEET, EMPTY_TRACE, policy="least_loaded",
                              engine=engine)
-        assert ref.stream_fingerprint() == st.fingerprint()
+        assert stream_fingerprint(ref) == st.fingerprint()
+        assert run_fleet(FLEET, EMPTY_TRACE, policy="least_loaded",
+                         engine=engine).fingerprint() == ref.fingerprint()
 
 
 class TestCellStatsGuardRegression:
@@ -286,62 +280,71 @@ class TestObservability:
         assert st.fingerprint() == again.fingerprint()
 
 
-class TestEngineFleetDispatch:
-    def _spec(self, mode, policy="least_loaded"):
-        return RunSpec(platform=FLEET.platform_spec("desktop"),
-                       kind=KIND_FLEET_DISPATCH, fleet=FLEET, trace=TRACE,
-                       policy=policy, dispatch_mode=mode)
+class TestRepeatedWorkloadNames:
+    """A trace may list a workload name twice.  The columns carry the
+    name's last index, so every per-workload table must be filled at
+    every index of the name (filling only the first index made every
+    such request read an empty cell and fail as an ineligible
+    placement)."""
 
-    def test_schema_version_bumped_for_streaming(self):
-        assert CACHE_SCHEMA_VERSION >= 6
+    FLEET8 = dataclasses.replace(FLEET, n_nodes=8)
+    TRACE_MM_RT_MM = TraceSpec(kind="bursty", duration_s=10.0,
+                               mean_rate_hz=2.0, workloads=("MM", "RT", "MM"),
+                               seed=9)
 
-    def test_modes_hash_to_distinct_keys(self):
-        assert (self._spec("reference").cache_key()
-                != self._spec("streaming").cache_key())
-        assert (self._spec("reference", policy="random").cache_key()
-                != self._spec("reference").cache_key())
+    @pytest.mark.parametrize("policy", PLACEMENT_POLICIES)
+    def test_matches_oracle(self, engine, policy):
+        ref = run_fleet_reference(self.FLEET8, self.TRACE_MM_RT_MM,
+                                  policy=policy, engine=engine)
+        assert {o.workload for o in ref.outcomes} == {"MM", "RT"}
+        st = dispatch_stream(self.FLEET8, self.TRACE_MM_RT_MM,
+                             policy=policy, engine=engine, chunk_size=7)
+        assert st.fingerprint() == stream_fingerprint(ref)
+        result = run_fleet(self.FLEET8, self.TRACE_MM_RT_MM, policy=policy,
+                           engine=engine)
+        assert result.fingerprint() == ref.fingerprint()
 
-    def test_canonical_carries_fleet_payload(self):
-        canonical = self._spec("streaming").canonical()
-        assert FLEET.canonical() in canonical
-        assert TRACE.canonical() in canonical
-        assert '"dispatch_mode":"streaming"' in canonical
-        assert '"policy":"least_loaded"' in canonical
 
-    def test_validation(self):
-        with pytest.raises(HarnessError, match="dispatch_mode"):
-            self._spec("turbo")
-        with pytest.raises(HarnessError, match="FleetSpec"):
-            RunSpec(platform=FLEET.platform_spec("desktop"),
-                    kind=KIND_FLEET_DISPATCH, policy="random",
-                    dispatch_mode="reference")
-        with pytest.raises(HarnessError, match="must leave"):
-            RunSpec(platform=FLEET.platform_spec("desktop"),
-                    workload="MM", policy="random")
-        for kind in (KIND_APPLICATION, KIND_CHAOS_CELL,
-                     KIND_CHAOS_BASELINE, KIND_FLEET_CELL):
-            with pytest.raises(HarnessError, match="XYZ"):
-                RunSpec(platform=FLEET.platform_spec("desktop"), kind=kind,
-                        workload="XYZ", scheduler=SchedulerSpec.cpu())
+class TestCarbonStream:
+    """Carbon pricing and deferral run through the one loop: held
+    requests re-enter the dispatch order at their release instant."""
 
-    def test_engine_runs_and_caches_fleet_dispatch(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "dispatch-cache"))
-        eng = ExecutionEngine(cache=cache)
-        spec = self._spec("streaming")
-        first = eng.run_batch([spec])[0]
-        assert not first.from_cache
-        assert first.payload.fingerprint()
-        second = eng.run_batch([spec])[0]
-        assert second.from_cache
-        assert (second.payload.fingerprint()
-                == first.payload.fingerprint())
+    CARBON_FLEET = dataclasses.replace(
+        FLEET, carbon=CarbonSpec(period_s=20.0))
+    DEFERRAL_TRACE = dataclasses.replace(TRACE, deferral_fraction=0.5)
 
-    def test_cross_mode_fingerprints_agree_through_engine(self, tmp_path):
-        eng = ExecutionEngine(
-            cache=ResultCache(str(tmp_path / "xmode-cache")))
-        ref = eng.run_batch([self._spec("reference")])[0].payload
-        st = eng.run_batch([self._spec("streaming")])[0].payload
-        assert ref.stream_fingerprint() == st.fingerprint()
+    @pytest.fixture(scope="class")
+    def ref(self, engine):
+        return run_fleet_reference(self.CARBON_FLEET, self.DEFERRAL_TRACE,
+                                   policy="energy_aware", engine=engine)
+
+    def test_trace_really_defers(self, ref):
+        deferred = [r for r in ref.placement_records
+                    if any(n.startswith("deferred:") for n in r.notes)]
+        assert deferred
+        assert [o.req_id for o in ref.outcomes] != sorted(
+            o.req_id for o in ref.outcomes)
+
+    @pytest.mark.parametrize("chunk_size", (1, 7, 65536))
+    def test_stream_digest_matches_oracle(self, engine, ref, chunk_size):
+        st = dispatch_stream(self.CARBON_FLEET, self.DEFERRAL_TRACE,
+                             policy="energy_aware", engine=engine,
+                             chunk_size=chunk_size)
+        assert st.fingerprint() == stream_fingerprint(ref)
+        result = run_fleet(self.CARBON_FLEET, self.DEFERRAL_TRACE,
+                           policy="energy_aware", engine=engine)
+        assert st.total_carbon_g == result.total_carbon_g > 0.0
+
+    def test_run_fleet_matches_oracle(self, engine, ref):
+        result = run_fleet(self.CARBON_FLEET, self.DEFERRAL_TRACE,
+                           policy="energy_aware", engine=engine)
+        assert result.fingerprint() == ref.fingerprint()
+        assert result.placement_records == ref.placement_records
+
+    def test_stream_render_reports_carbon(self, engine):
+        st = dispatch_stream(self.CARBON_FLEET, self.DEFERRAL_TRACE,
+                             policy="round_robin", engine=engine)
+        assert "g CO2" in st.render()
 
 
 class TestLatencySketch:

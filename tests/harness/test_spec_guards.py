@@ -15,7 +15,14 @@ from repro.core.metrics import EDP, EnergyMetric
 from repro.core.scheduler import SchedulerConfig
 from repro.errors import HarnessError
 from repro.harness import chaos, engine, suite
-from repro.harness.engine import SchedulerSpec
+from repro.harness.engine import (
+    KIND_APPLICATION,
+    KIND_CHAOS_BASELINE,
+    KIND_CHAOS_CELL,
+    KIND_FLEET_CELL,
+    RunSpec,
+    SchedulerSpec,
+)
 from repro.workloads.connected_components import ConnectedComponents
 from repro.workloads.registry import workload_by_abbrev
 
@@ -84,3 +91,13 @@ def test_entry_points_reject_before_simulating(desktop, entry, workload,
                                                metric, config):
     with pytest.raises(HarnessError):
         entry(desktop, workload, metric, config)
+
+
+def test_registry_kinds_reject_unknown_workloads(desktop):
+    """Kinds whose worker rebuilds the workload from the registry check
+    the name when the spec is built."""
+    for kind in (KIND_APPLICATION, KIND_CHAOS_CELL,
+                 KIND_CHAOS_BASELINE, KIND_FLEET_CELL):
+        with pytest.raises(HarnessError, match="XYZ"):
+            RunSpec(platform=desktop, kind=kind,
+                    workload="XYZ", scheduler=SchedulerSpec.cpu())

@@ -66,7 +66,7 @@ EXPECTED_API = sorted([
     "run_fleet", "FleetResult", "RequestOutcome", "FleetCellProfile",
     "compare_fleet_policies", "FleetComparisonResult",
     # streaming fleet dispatch (docs/FLEET.md, "Streaming dispatch")
-    "DISPATCH_MODES", "dispatch_stream", "FleetStreamResult",
+    "dispatch_stream", "FleetStreamResult",
     "LatencySketch",
     # carbon-aware scheduling (docs/OBJECTIVES.md)
     "CarbonSpec", "CarbonTrace",
