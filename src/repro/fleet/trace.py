@@ -128,16 +128,19 @@ class TraceSpec:
         if self.kind not in TRACE_KINDS:
             raise HarnessError(f"unknown trace kind {self.kind!r}; "
                                f"expected one of {TRACE_KINDS}")
-        if self.duration_s <= 0.0:
-            raise HarnessError("trace duration_s must be positive")
-        if self.mean_rate_hz <= 0.0:
-            raise HarnessError("trace mean_rate_hz must be positive")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0.0):
+            raise HarnessError("trace duration_s must be finite and positive")
+        if not (math.isfinite(self.mean_rate_hz) and self.mean_rate_hz > 0.0):
+            raise HarnessError(
+                "trace mean_rate_hz must be finite and positive")
         if not self.workloads:
             raise HarnessError("trace needs at least one workload")
         for abbrev in self.workloads:
             workload_by_abbrev(abbrev)  # fail fast with did-you-mean
-        if not 0.0 < self.deadline_lo_s <= self.deadline_hi_s:
-            raise HarnessError("need 0 < deadline_lo_s <= deadline_hi_s")
+        if not (0.0 < self.deadline_lo_s <= self.deadline_hi_s
+                and math.isfinite(self.deadline_hi_s)):
+            raise HarnessError(
+                "need 0 < deadline_lo_s <= deadline_hi_s, both finite")
         if not (math.isfinite(self.deferral_fraction)
                 and 0.0 <= self.deferral_fraction <= 1.0):
             raise HarnessError("deferral_fraction must be in [0, 1]")

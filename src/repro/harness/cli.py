@@ -67,7 +67,7 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.observer import Observer
-from repro.soc.faults import FaultConfig
+from repro.soc.faults import FaultConfig, fault_level_problem
 from repro.soc.spec import TICK_MODES, baytrail_tablet, haswell_desktop
 from repro.workloads.registry import workload_by_abbrev
 
@@ -301,6 +301,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.jobs < 1:
         raise HarnessError("--jobs must be >= 1")
+    problem = fault_level_problem(args.fault_level)
+    if problem is not None:
+        raise HarnessError(f"--fault-level: {problem}")
     engine = ExecutionEngine(jobs=args.jobs, cache=_make_cache(args))
 
     with use_engine(engine):

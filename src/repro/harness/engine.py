@@ -74,7 +74,7 @@ from repro.errors import SchedulingError
 from repro.obs.observer import Observer
 from repro.runtime.runtime import ConcordRuntime
 from repro.runtime.tenancy import TenancySpec
-from repro.soc.faults import FaultConfig
+from repro.soc.faults import FaultConfig, fault_level_problem
 from repro.soc.simulator import IntegratedProcessor
 from repro.soc.spec import PlatformSpec
 from repro.soc.vector import VectorCore, model_identity, use_vector_core
@@ -193,8 +193,13 @@ class SchedulerSpec:
             raise HarnessError(
                 f"unknown scheduler kind {self.kind!r}; "
                 f"expected one of {_SCHEDULER_KINDS}")
-        if self.kind == "static" and self.alpha is None:
-            raise HarnessError("static scheduler spec needs an alpha")
+        if self.kind == "static":
+            if self.alpha is None:
+                raise HarnessError("static scheduler spec needs an alpha")
+            try:
+                StaticAlphaScheduler(alpha=self.alpha)
+            except SchedulingError as exc:
+                raise HarnessError(str(exc)) from exc
         if self.deadline_s is not None:
             if self.kind != "race":
                 raise HarnessError(
@@ -319,6 +324,9 @@ class RunSpec:
                                f"expected one of {_ALL_KINDS}")
         if self.kind in _REGISTRY_WORKLOAD_KINDS:
             workload_by_abbrev(self.workload)  # UnknownNameError on a miss
+        problem = fault_level_problem(self.fault_level)
+        if problem is not None:
+            raise HarnessError(problem)
         if self.kind in (KIND_APPLICATION, KIND_CHAOS_CELL,
                          KIND_MULTIPROGRAM) and self.scheduler is None:
             raise HarnessError(f"{self.kind} spec needs a scheduler")

@@ -30,6 +30,7 @@ from repro.harness.engine import (
     RunSpec,
     SchedulerSpec,
 )
+from repro.soc.faults import fault_level_problem
 from repro.soc.spec import (
     TICK_MODES,
     baytrail_tablet,
@@ -70,6 +71,9 @@ class JobSpec:
                                f"expected one of {_SCHEDULERS}")
         if self.scheduler == "static" and self.alpha is None:
             raise ServiceError("static scheduler job needs an alpha")
+        problem = fault_level_problem(self.fault_level)
+        if problem is not None:
+            raise ServiceError(problem)
         if self.tick_mode not in TICK_MODES:
             raise ServiceError(f"unknown tick mode {self.tick_mode!r}; "
                                f"expected one of {TICK_MODES}")

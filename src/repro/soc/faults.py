@@ -49,6 +49,19 @@ _MSR_MASK = (1 << 32) - 1
 _DONE_EPS = 1e-9
 
 
+def fault_level_problem(level: float) -> Optional[str]:
+    """Why ``level`` is not a fault level, or None when it is.
+
+    A level scales every injection probability, so it must lie in
+    [0, 1]; NaN, negative and above-one levels are rejected wherever a
+    level enters (``RunSpec``, ``JobSpec``, the CLI) rather than running
+    silently fault-free or failing inside a worker.
+    """
+    if not 0.0 <= level <= 1.0:
+        return f"fault level {level} outside [0, 1]"
+    return None
+
+
 @dataclass(frozen=True)
 class FaultEvent:
     """One injected fault, for diagnostics and campaign reporting."""
@@ -124,8 +137,9 @@ class FaultConfig:
         (as on real parts, where a busy or wedged GPU is far more
         common than an SMI-corrupted MSR read).
         """
-        if not 0.0 <= level <= 1.0:
-            raise SimulationError(f"fault level {level} outside [0, 1]")
+        problem = fault_level_problem(level)
+        if problem is not None:
+            raise SimulationError(problem)
         return cls(
             seed=seed,
             msr_glitch_prob=0.25 * level,

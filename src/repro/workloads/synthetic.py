@@ -12,7 +12,8 @@ whole taxonomy:
 * single long kernels vs many short launches.
 
 Downstream users can use the same generator to stress their own
-scheduler variants (see ``bench_extension_synthetic_suite.py``).
+scheduler variants (see ``synthetic_suite`` in
+``benchmarks/bench_paper_shape.py``).
 """
 
 from __future__ import annotations

@@ -89,10 +89,22 @@ class TestValidation:
             TraceSpec(duration_s=0.0)
         with pytest.raises(HarnessError):
             TraceSpec(mean_rate_hz=-1.0)
+        # Non-finite values would hang the arrival walk or fail deep in
+        # the column generator; they are rejected at construction.
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(HarnessError, match="finite"):
+                TraceSpec(duration_s=bad)
+            with pytest.raises(HarnessError, match="finite"):
+                TraceSpec(mean_rate_hz=bad)
 
     def test_bad_deadlines(self):
         with pytest.raises(HarnessError):
             TraceSpec(deadline_lo_s=10.0, deadline_hi_s=5.0)
+        # An infinite budget drew deadline_s=inf and deferrable_s=nan.
+        for lo, hi in ((1.0, float("inf")), (float("inf"), float("inf")),
+                       (float("nan"), 5.0), (1.0, float("nan"))):
+            with pytest.raises(HarnessError):
+                TraceSpec(deadline_lo_s=lo, deadline_hi_s=hi)
 
     def test_canonical_round_trip_stability(self):
         spec = TraceSpec(kind="bursty", duration_s=45.5, seed=3)

@@ -101,3 +101,18 @@ def test_registry_kinds_reject_unknown_workloads(desktop):
         with pytest.raises(HarnessError, match="XYZ"):
             RunSpec(platform=desktop, kind=kind,
                     workload="XYZ", scheduler=SchedulerSpec.cpu())
+
+
+@pytest.mark.parametrize("level", [float("nan"), -0.5, 1.5, float("inf")])
+def test_run_spec_rejects_fault_levels_outside_unit_interval(desktop, level):
+    """A NaN or negative level would run silently fault-free and one
+    above 1 would fail only inside the worker."""
+    with pytest.raises(HarnessError, match="fault level"):
+        RunSpec(platform=desktop, workload="BS", scheduler=SchedulerSpec.cpu(),
+                fault_level=level)
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), -0.1, 2.0])
+def test_static_scheduler_spec_rejects_alpha_outside_unit_interval(alpha):
+    with pytest.raises(HarnessError, match="outside"):
+        SchedulerSpec.static(alpha)

@@ -1,8 +1,9 @@
 """Chaos campaign invariants on a small, fast sweep.
 
 The full default campaign (4 workloads x 4 fault levels) runs in the
-benchmark suite (``benchmarks/bench_robustness_fault_sweep.py``); here a
-reduced sweep asserts the same four invariants quickly enough for CI.
+paper-shape table (``benchmarks/bench_paper_shape.py::fault_sweep``);
+here a reduced sweep asserts the same four invariants quickly enough for
+CI.
 """
 
 import pytest

@@ -38,6 +38,12 @@ class TestJobSpec:
         ({"workload": "BS", "scheduler": "magic"}, "unknown scheduler"),
         ({"workload": "BS", "scheduler": "static"}, "needs an alpha"),
         ({"workload": "BS", "tick_mode": "warp"}, "unknown tick mode"),
+        ({"workload": "BS", "fault_level": float("nan")}, "fault level"),
+        ({"workload": "BS", "fault_level": -0.5}, "fault level"),
+        ({"workload": "BS", "fault_level": 1.5}, "fault level"),
+        ({"workload": "BS", "scheduler": "static", "alpha": 2.0}, "outside"),
+        ({"workload": "BS", "scheduler": "static", "alpha": float("nan")},
+         "outside"),
     ])
     def test_validation(self, kwargs, match):
         with pytest.raises(ServiceError, match=match):
