@@ -27,8 +27,8 @@ per invocation and our benchmark harness tracks the same quantity.
 
 **Resilience** (see docs/ROBUSTNESS.md): every GPU interaction may
 raise :class:`~repro.errors.GpuFaultError` on a faulty platform.
-Failed profiling chunks are retried with bounded backoff; a per-kernel
-fault budget triggers graceful degradation to CPU-only execution
+Failed profiling chunks are retried a bounded number of times; a
+per-kernel fault budget triggers graceful degradation to CPU-only execution
 (sticky, recorded as ``notes=["gpu-faulted-fallback"]``);
 :meth:`EnergyAwareScheduler._derive_alpha` rejects NaN/zero/absurd
 throughput readings and falls back to the last-known-good table-G
@@ -63,7 +63,6 @@ from repro.core.profiling import KernelTable, ProfileAggregate
 from repro.errors import GpuFaultError, SchedulingError
 from repro.obs.observer import NULL_OBSERVER, Observer, resolve
 from repro.obs.records import (
-    EXIT_COOLDOWN,
     EXIT_DEADLINE_INFEASIBLE,
     EXIT_DEGRADED,
     EXIT_FAULT_DEGRADED,
@@ -83,16 +82,43 @@ MAX_SANE_THROUGHPUT = 1e15
 #: partitioned phase drained on the CPU).
 GPU_FAULTED_FALLBACK = "gpu-faulted-fallback"
 
+# -- fixed resilience settings (docs/ROBUSTNESS.md) --------------------------
+
+#: Re-profile when an invocation is this many times larger than the
+#: invocation its table-G alpha was derived from (the paper repeats
+#: profiling "for workloads where the same kernel behaves differently
+#: over time"); the new alpha is accumulated sample-weighted, per
+#: Fig. 7 line 26.
+REPROFILE_GROWTH = 4.0
+#: Retries for one failed GPU profiling chunk.  A retry is immediate:
+#: on an integrated part an idle backoff drops the package into its
+#: low-power state, and the post-idle DVFS ramp costs more than the
+#: backoff buys.
+MAX_PROFILE_RETRIES = 2
+#: Per-kernel GPU-fault budget with leaky-bucket semantics: every
+#: observed fault fills the bucket by one, every successful GPU
+#: operation drains it by one.  When the bucket reaches this level the
+#: kernel degrades to CPU-only execution for the rest of the run
+#: (sticky).  Transient faults on a mostly-healthy GPU never exhaust
+#: it; a dead GPU exhausts it after ~budget consecutive failures,
+#: bounding the total time wasted on a lost cause.
+FAULT_BUDGET = 8
+#: Watchdog cap on profiling rounds per invocation - a faulty platform
+#: must not trap the scheduler in an endless profile loop.
+MAX_PROFILE_ROUNDS = 12
+#: Immediate re-reads of a busy ``gpu_busy`` counter before trusting
+#: it (debounce against transient flapping).
+GPU_BUSY_RECHECKS = 1
+
 
 @dataclass
 class SchedulerConfig:
-    """Validated tunables of the EAS algorithm (ablation + resilience).
+    """Validated tunables of the EAS algorithm: the ablation knobs.
 
     Invalid values raise :class:`~repro.errors.SchedulingError` at
-    construction instead of misbehaving mid-run.
+    construction instead of misbehaving mid-run.  The resilience
+    settings are the module constants above.
     """
-
-    # -- profiling / optimization knobs -------------------------------------------
 
     #: Grid increment for the alpha search (the paper uses 0.1).
     alpha_step: float = DEFAULT_ALPHA_STEP
@@ -110,53 +136,8 @@ class SchedulerConfig:
     #: Re-derive alpha by profiling again on every invocation instead
     #: of reusing table G (ablation; the paper reuses G).
     always_reprofile: bool = False
-    #: Re-profile when an invocation is this many times larger than
-    #: the invocation its table-G alpha was derived from (the paper
-    #: repeats profiling "for workloads where the same kernel behaves
-    #: differently over time"); the new alpha is accumulated
-    #: sample-weighted, per Fig. 7 line 26.
-    reprofile_growth: float = 4.0
     #: Override the platform's GPU_PROFILE_SIZE (None = use spec).
     gpu_profile_size: Optional[int] = None
-
-    # -- resilience knobs (docs/ROBUSTNESS.md) -----------------------------------
-
-    #: Retries for one failed GPU profiling chunk (0 = no retry).
-    max_profile_retries: int = 2
-    #: Simulated idle backoff before a retry; grows linearly with the
-    #: attempt number.  Defaults to 0 (immediate retry): on an
-    #: integrated part an idle backoff drops the package into its
-    #: low-power state, and the post-idle DVFS ramp costs far more than
-    #: the backoff buys.  Raise it on platforms whose transients need
-    #: settle time.
-    retry_backoff_s: float = 0.0
-    #: After any observed GPU fault, route *new* invocations of that
-    #: kernel to the CPU for this long (a circuit-breaker half-open
-    #: window).  Defaults to 0 (disabled): on the integrated platform a
-    #: cooldown makes many-tiny-invocation workloads alternate between
-    #: GPU and CPU execution, and every alternation pays the package's
-    #: post-idle DVFS ramp tax - measured campaigns show the cooldown
-    #: *raising* EDP under faults.  The knob remains for discrete-GPU
-    #: style platforms where backing off a flaky device is cheap.
-    fault_cooldown_s: float = 0.0
-    #: Per-kernel GPU-fault budget with leaky-bucket semantics: every
-    #: observed fault fills the bucket by one, every successful GPU
-    #: operation drains it by one.  When the bucket reaches this level
-    #: the kernel degrades to CPU-only execution for the rest of the
-    #: run (sticky).  Transient faults on a mostly-healthy GPU never
-    #: exhaust it; a dead GPU exhausts it after ~budget consecutive
-    #: failures, bounding the total time wasted on a lost cause.
-    fault_budget: int = 8
-    #: Watchdog cap on profiling rounds per invocation - a faulty
-    #: platform must not trap the scheduler in an endless profile loop.
-    max_profile_rounds: int = 12
-    #: Re-reads of a busy ``gpu_busy`` counter before trusting it
-    #: (debounce against transient flapping; 0 = trust the first read).
-    gpu_busy_rechecks: int = 1
-    #: Idle pause between ``gpu_busy`` re-reads.  An immediate re-read
-    #: (0.0, the default) already filters a transient flap; a positive
-    #: pause trades simulated time for robustness to longer glitches.
-    gpu_busy_recheck_idle_s: float = 0.0
 
     def __post_init__(self) -> None:
         self.validate()
@@ -173,24 +154,15 @@ class SchedulerConfig:
                  "must be in (0, 1]")
         _require(0.0 < self.profile_fraction <= 1.0, "profile_fraction",
                  "must be in (0, 1]")
-        _require(self.chunk_growth >= 1.0, "chunk_growth", "must be >= 1")
-        _require(self.reprofile_growth >= 1.0, "reprofile_growth",
-                 "must be >= 1")
-        _require(self.gpu_profile_size is None or self.gpu_profile_size > 0,
-                 "gpu_profile_size", "must be positive (or None)")
-        _require(self.max_profile_retries >= 0, "max_profile_retries",
-                 "must be >= 0")
-        _require(self.retry_backoff_s >= 0.0, "retry_backoff_s",
-                 "must be >= 0")
-        _require(self.fault_cooldown_s >= 0.0, "fault_cooldown_s",
-                 "must be >= 0")
-        _require(self.fault_budget >= 1, "fault_budget", "must be >= 1")
-        _require(self.max_profile_rounds >= 1, "max_profile_rounds",
-                 "must be >= 1")
-        _require(self.gpu_busy_rechecks >= 0, "gpu_busy_rechecks",
-                 "must be >= 0")
-        _require(self.gpu_busy_recheck_idle_s >= 0.0,
-                 "gpu_busy_recheck_idle_s", "must be >= 0")
+        _require(1.0 <= self.chunk_growth < math.inf, "chunk_growth",
+                 "must be finite and >= 1")
+        _require(math.isfinite(self.convergence_tolerance),
+                 "convergence_tolerance",
+                 "must be finite (negative disables convergence)")
+        size = self.gpu_profile_size
+        _require(size is None or (isinstance(size, int)
+                                  and not isinstance(size, bool) and size > 0),
+                 "gpu_profile_size", "must be a positive int (or None)")
 
 
 class EnergyAwareScheduler:
@@ -217,9 +189,6 @@ class EnergyAwareScheduler:
         self.fault_totals: Dict[str, int] = {}
         #: Kernels whose fault budget is exhausted: CPU-only from now on.
         self.degraded_kernels: Set[str] = set()
-        #: Per-kernel circuit-breaker: simulated time before which new
-        #: invocations stay on the CPU after an observed GPU fault.
-        self.gpu_retry_after: Dict[str, float] = {}
         #: Most recent fault events per kernel, so later CPU-only
         #: invocations of a degraded kernel can still name the faults
         #: that tripped its budget.
@@ -234,10 +203,6 @@ class EnergyAwareScheduler:
         #: were a solo measurement.  Empty = solo: keys, and therefore
         #: single-tenant behaviour, are unchanged.
         self.co_run_context: str = ""
-        #: Simulated idle seconds burned inside the gpu_busy debounce
-        #: loop during the invocation in flight (charged to the
-        #: invocation's decision record).
-        self._debounce_idle_s: float = 0.0
         #: Table audit state of the invocation in flight.
         self._table_hit: bool = False
         self._table_usable: bool = False
@@ -269,7 +234,6 @@ class EnergyAwareScheduler:
         tkey = self._table_key(key)
         self.table.note_invocation(tkey)
         self._fault_events = []
-        self._debounce_idle_s = 0.0
         self._deadline_infeasible = False
 
         profile_size = (self.config.gpu_profile_size
@@ -299,23 +263,13 @@ class EnergyAwareScheduler:
 
         # Fault budget exhausted earlier: the GPU is not to be trusted
         # for this kernel any more.  Graceful degradation, not a crash.
-        # A kernel still inside its post-fault cooldown window gets the
-        # same CPU-only treatment, but only until the window closes.
-        degraded = key in self.degraded_kernels
-        if degraded or launch.processor.now < self.gpu_retry_after.get(key, 0.0):
+        if key in self.degraded_kernels:
             launch.run_cpu_only()
-            if degraded:
-                reason = (f"fault budget ({self.config.fault_budget}) "
-                          "exhausted on an earlier invocation; kernel is "
-                          "CPU-only (sticky)")
-                exit_path = EXIT_DEGRADED
-            else:
-                reason = (f"inside post-fault cooldown window (until "
-                          f"t={self.gpu_retry_after.get(key, 0.0):.6f}s)")
-                exit_path = EXIT_COOLDOWN
             self._emit_decision(
-                launch, key, exit_path, alpha=0.0, from_table=True,
-                fallback_reason=reason,
+                launch, key, EXIT_DEGRADED, alpha=0.0, from_table=True,
+                fallback_reason=(f"fault budget ({FAULT_BUDGET}) "
+                                 "exhausted on an earlier invocation; "
+                                 "kernel is CPU-only (sticky)"),
                 fault_events=self.last_fault_events.get(key, []),
                 notes=[GPU_FAULTED_FALLBACK])
             return SchedulerRecord(alpha=0.0, notes=[GPU_FAULTED_FALLBACK])
@@ -363,7 +317,7 @@ class EnergyAwareScheduler:
         decision_overhead = 0.0
         keep_profiling_above = launch.n_items * (1.0 - self.config.profile_fraction)
         while (launch.remaining_items > keep_profiling_above
-               and aggregate.num_rounds < self.config.max_profile_rounds):
+               and aggregate.num_rounds < MAX_PROFILE_ROUNDS):
             # Never hand the GPU more than half the remainder: a
             # profiling round must leave work for the partitioned run.
             chunk_now = min(chunk, launch.remaining_items * 0.5)
@@ -485,17 +439,11 @@ class EnergyAwareScheduler:
         """A26 check that a transiently flapping counter cannot spoof.
 
         A clean read costs nothing; only a busy reading triggers the
-        (cheap) re-check loop.  Simulated time idled between re-reads
-        is accumulated into ``_debounce_idle_s`` and charged to the
-        invocation's decision record - the check burns real simulated
-        time and must not vanish from the latency accounting.
+        immediate re-reads, which burn no simulated time.
         """
         if not launch.processor.gpu_busy:
             return False
-        for _ in range(max(0, self.config.gpu_busy_rechecks)):
-            if self.config.gpu_busy_recheck_idle_s > 0.0:
-                launch.processor.idle(self.config.gpu_busy_recheck_idle_s)
-                self._debounce_idle_s += self.config.gpu_busy_recheck_idle_s
+        for _ in range(GPU_BUSY_RECHECKS):
             if not launch.processor.gpu_busy:
                 self.observer.inc("eas.gpu_busy_flaps_filtered")
                 return False
@@ -525,24 +473,18 @@ class EnergyAwareScheduler:
         if entry is None or entry.quarantined:
             return False
         if n_items >= profile_size:
-            outgrown = n_items > (self.config.reprofile_growth
+            outgrown = n_items > (REPROFILE_GROWTH
                                   * max(entry.derived_at_items, 1.0))
             if entry.provisional or outgrown:
                 return False
         return True
 
-    def _register_fault(self, launch: KernelLaunch, key: str,
-                        stage: str = "gpu", detail: str = "") -> bool:
-        """Fill the kernel's fault bucket; True when the budget is gone.
-
-        Every fault also arms the circuit-breaker cooldown: new
-        invocations of this kernel stay CPU-only until it expires.
-        """
+    def _register_fault(self, key: str, stage: str = "gpu",
+                        detail: str = "") -> bool:
+        """Fill the kernel's fault bucket; True when the budget is gone."""
         count = self.fault_counts.get(key, 0) + 1
         self.fault_counts[key] = count
         self.fault_totals[key] = self.fault_totals.get(key, 0) + 1
-        self.gpu_retry_after[key] = (launch.processor.now
-                                     + self.config.fault_cooldown_s)
         event = f"{stage}: {detail}" if detail else stage
         self._fault_events.append(event)
         obs = self.observer
@@ -551,7 +493,7 @@ class EnergyAwareScheduler:
             obs.set_gauge(f"eas.fault_bucket.{key}", count)
             obs.event("eas.gpu_fault", kernel=key, stage=stage, detail=detail,
                       bucket_level=count)
-        if count >= self.config.fault_budget:
+        if count >= FAULT_BUDGET:
             self.degraded_kernels.add(key)
             return True
         return False
@@ -567,7 +509,7 @@ class EnergyAwareScheduler:
     def _profile_with_retry(
             self, launch: KernelLaunch, key: str, chunk: float,
     ) -> "Tuple[Optional[ProfileObservation], bool]":
-        """One profiling round with bounded retry-with-backoff.
+        """One profiling round with bounded immediate retries.
 
         An observation in which the GPU made *zero progress* on a
         nonzero chunk is itself a fault manifestation (a hung or lying
@@ -578,8 +520,7 @@ class EnergyAwareScheduler:
         CPU-only execution.
         """
         had_fault = False
-        attempts = max(0, self.config.max_profile_retries) + 1
-        for attempt in range(attempts):
+        for attempt in range(MAX_PROFILE_RETRIES + 1):
             if attempt > 0:
                 self.observer.inc("eas.profile_retries")
             detail = ""
@@ -594,16 +535,10 @@ class EnergyAwareScheduler:
             if observation is not None:
                 detail = "GPU reported zero progress on a nonzero chunk"
             had_fault = True
-            if self._register_fault(launch, key, stage="profile-chunk",
+            if self._register_fault(key, stage="profile-chunk",
                                     detail=detail):
                 return None, True
-            self._backoff(launch, attempt)
         return None, True
-
-    def _backoff(self, launch: KernelLaunch, attempt: int) -> None:
-        backoff = self.config.retry_backoff_s * (attempt + 1)
-        if backoff > 0.0:
-            launch.processor.idle(backoff)
 
     def _run_remainder(self, launch: KernelLaunch, key: str,
                        alpha: float) -> SchedulerRecord:
@@ -619,18 +554,15 @@ class EnergyAwareScheduler:
         """
         notes: List[str] = []
         if launch.remaining_items > 0 and alpha > 0.0:
-            attempt = 0
             while True:
                 try:
                     launch.run_partitioned(alpha)
                     self._register_success(key)
                     return SchedulerRecord(alpha=alpha, notes=notes)
                 except GpuFaultError as exc:
-                    if self._register_fault(launch, key, stage="partitioned",
+                    if self._register_fault(key, stage="partitioned",
                                             detail=str(exc)):
                         break
-                    self._backoff(launch, attempt)
-                    attempt += 1
             if not launch.is_done:
                 launch.run_cpu_only()
             alpha = 0.0
@@ -649,7 +581,7 @@ class EnergyAwareScheduler:
         self._emit_decision(
             launch, key, EXIT_FAULT_DEGRADED, alpha=0.0,
             rounds=aggregate.num_rounds,
-            fallback_reason=(f"fault budget ({self.config.fault_budget}) "
+            fallback_reason=(f"fault budget ({FAULT_BUDGET}) "
                              f"exhausted during profiling after "
                              f"{aggregate.num_rounds} successful round(s); "
                              "remainder drained on the CPU"),
@@ -671,10 +603,9 @@ class EnergyAwareScheduler:
                        notes: Optional[List[str]] = None) -> DecisionRecord:
         """Build and store the invocation's audit record (every exit).
 
-        Table audit flags (``table_hit``/``table_usable``) and the
-        debounce idle charge come from the per-invocation state set up
-        at the top of :meth:`_execute`, so every exit path reports them
-        consistently.
+        Table audit flags (``table_hit``/``table_usable``) come from the
+        per-invocation state set up at the top of :meth:`_execute`, so
+        every exit path reports them consistently.
         """
         events = list(self._fault_events if fault_events is None
                       else fault_events)
@@ -695,7 +626,6 @@ class EnergyAwareScheduler:
             quarantined=quarantined,
             table_hit=self._table_hit,
             table_usable=self._table_usable,
-            debounce_idle_s=self._debounce_idle_s,
             sim_time_s=launch.processor.now,
             notes=list(notes or []))
         self.decisions.append(record)
@@ -706,9 +636,6 @@ class EnergyAwareScheduler:
             if decision_overhead > 0.0:
                 obs.observe("eas.decision_overhead_us",
                             decision_overhead * 1e6)
-            if record.debounce_idle_s > 0.0:
-                obs.observe("eas.gpu_busy_debounce_idle_s",
-                            record.debounce_idle_s)
         return record
 
     # -- internals ---------------------------------------------------------------

@@ -1036,20 +1036,17 @@ def dispatch_stream(fleet: FleetSpec, trace: TraceSpec,
                     policy: str = "energy_aware",
                     engine: Optional[ExecutionEngine] = None,
                     observer: Optional[Observer] = None,
-                    chunk_size: int = DEFAULT_CHUNK_SIZE,
-                    sample_stride: int = DEFAULT_SAMPLE_STRIDE,
-                    max_records: int = MAX_SAMPLED_RECORDS
+                    chunk_size: int = DEFAULT_CHUNK_SIZE
                     ) -> FleetStreamResult:
     """Route ``trace`` over ``fleet``, keeping streaming aggregates.
 
     The same loop, placement decisions and timestamps as
     :func:`run_fleet`, at O(nodes + chunk) accounting state instead of
     O(requests): a latency sketch, per-column digests, and sampled
-    decision records.  On carbon-aware fleets it also keeps one float
-    per request, for an exactly rounded carbon total.
+    decision records (:data:`DEFAULT_SAMPLE_STRIDE`,
+    :data:`MAX_SAMPLED_RECORDS`).  On carbon-aware fleets it also keeps
+    one float per request, for an exactly rounded carbon total.
     """
-    if sample_stride <= 0:
-        raise HarnessError("sample_stride must be positive")
     loop = _DispatchLoop(fleet, trace, policy, engine, observer, chunk_size)
     n_workloads = len(trace.workloads)
     busy_s = np.zeros(len(loop.nodes), dtype=np.float64)
@@ -1081,9 +1078,9 @@ def dispatch_stream(fleet: FleetSpec, trace: TraceSpec,
             carbon_g.extend(loop.carbon_g(chunk))
         position = np.arange(chunk.start, chunk.start + len(chunk))
         sampled = np.flatnonzero(
-            ((position % sample_stride) == 0) | chunk.missed)
+            ((position % DEFAULT_SAMPLE_STRIDE) == 0) | chunk.missed)
         records_matched += len(sampled)
-        for i in sampled[:max(0, max_records - len(records))].tolist():
+        for i in sampled[:max(0, MAX_SAMPLED_RECORDS - len(records))].tolist():
             records.append(loop.record(chunk, i))
             if loop.obs is not None:
                 loop.obs.decision(records[-1])
@@ -1102,7 +1099,8 @@ def dispatch_stream(fleet: FleetSpec, trace: TraceSpec,
         makespan_s=makespan, deadline_misses=misses_total,
         sketch=sketch, busy_s_by_node=busy_s,
         placement_records=tuple(records),
-        records_matched=records_matched, sample_stride=sample_stride,
+        records_matched=records_matched,
+        sample_stride=DEFAULT_SAMPLE_STRIDE,
         digest=_fold_stream_digest(fleet, trace, policy, loop.cells,
                                    digests, loop.n_requests),
         total_carbon_g=math.fsum(carbon_g))

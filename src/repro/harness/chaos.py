@@ -288,20 +288,17 @@ def run_chaos_campaign(spec: Optional[PlatformSpec] = None,
                        workloads: Optional[Sequence[Workload]] = None,
                        fault_levels: Sequence[float] = DEFAULT_FAULT_LEVELS,
                        seed: int = 2016,
-                       metric: EnergyMetric = EDP,
-                       eas_config: Optional[SchedulerConfig] = None,
                        engine=None,
                        tick_mode: Optional[str] = None
                        ) -> ChaosCampaignResult:
-    """Sweep fault probability over the workload suite under EAS.
+    """Sweep fault probability over the workload suite under EDP EAS.
 
     Fully deterministic given ``seed``: per-cell fault streams are
     derived via :func:`cell_seed`, and every reported quantity comes
     from the deterministic simulation - which is why the whole grid
     (clean CPU baselines + cells) runs as one batch on the execution
     ``engine`` (default: the session's) with unchanged fingerprints.
-    Registry workloads and metrics and a plain
-    :class:`SchedulerConfig` only: anything else raises
+    Registry workloads only: anything else raises
     :class:`~repro.errors.HarnessError` before any cell runs.
     """
     from repro.harness.engine import (
@@ -316,7 +313,7 @@ def run_chaos_campaign(spec: Optional[PlatformSpec] = None,
     spec = spec or haswell_desktop(tick_mode=tick_mode)
     if workloads is None:
         workloads = [workload_by_abbrev(a) for a in DEFAULT_WORKLOADS]
-    eas = SchedulerSpec.eas(metric, eas_config)
+    eas = SchedulerSpec.eas()
     abbrevs = [spec_workload(w) for w in workloads]
     batch = [RunSpec(platform=spec, workload=abbrev,
                      kind=KIND_CHAOS_BASELINE) for abbrev in abbrevs]
@@ -437,11 +434,9 @@ def run_multiprogram_chaos_campaign(
         fault_levels: Sequence[float] = DEFAULT_FAULT_LEVELS,
         seed: int = 2016,
         lease_quantum: int = 2,
-        metric: EnergyMetric = EDP,
-        eas_config: Optional[SchedulerConfig] = None,
         tick_mode: Optional[str] = None,
 ) -> MultiprogramChaosCampaignResult:
-    """Sweep fault probability over the tenancy layer, per policy.
+    """Sweep fault probability over the tenancy layer under EDP EAS.
 
     Runs the same tenant mix under every arbiter policy at every fault
     level; per-cell fault streams derive from :func:`cell_seed` (keyed
@@ -465,9 +460,8 @@ def run_multiprogram_chaos_campaign(
             try:
                 result = run_multiprogram(
                     spec=spec, tenants=parse_tenant_specs(tenant_text),
-                    policy=policy, seed=cs, metric=metric,
-                    fault_level=level, lease_quantum=lease_quantum,
-                    eas_config=eas_config,
+                    policy=policy, seed=cs, fault_level=level,
+                    lease_quantum=lease_quantum,
                     characterization=characterization)
             except ReproError as exc:
                 cells.append(MultiprogramChaosCell(

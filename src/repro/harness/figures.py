@@ -74,11 +74,6 @@ def _cached_sweep(spec: PlatformSpec, workload: Workload,
     return sweep
 
 
-def clear_caches() -> None:
-    """Drop cached sweeps (used by ablation benchmarks)."""
-    _sweep_cache.clear()
-
-
 # ---------------------------------------------------------------------------
 # Figure 1
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.observer import NULL_OBSERVER, NullObserver, Observer, resolve
 from repro.obs.records import (
     ALL_EXIT_PATHS,
-    EXIT_COOLDOWN,
     EXIT_DEGRADED,
     EXIT_FAULT_DEGRADED,
     EXIT_GPU_BUSY,
@@ -38,5 +37,5 @@ __all__ = [
     "SpanRecord", "EventRecord",
     "DecisionRecord", "ALL_EXIT_PATHS",
     "EXIT_TABLE_HIT", "EXIT_SMALL_N", "EXIT_GPU_BUSY", "EXIT_DEGRADED",
-    "EXIT_COOLDOWN", "EXIT_FAULT_DEGRADED", "EXIT_PROFILED",
+    "EXIT_FAULT_DEGRADED", "EXIT_PROFILED",
 ]

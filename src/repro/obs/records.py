@@ -17,7 +17,6 @@ to zero.  The exit paths:
 ``small-n-cpu-only``      N below GPU_PROFILE_SIZE (lines 6-10)
 ``gpu-busy-fallback``     debounced A26 counter read busy (Section 5)
 ``degraded-cpu-only``     fault budget exhausted on an *earlier* invocation
-``cooldown-cpu-only``     inside the post-fault circuit-breaker window
 ``fault-degraded``        budget exhausted *during* this invocation's
                           profiling; remainder drained on the CPU
 ``profiled``              the full profile/classify/optimize path
@@ -42,15 +41,13 @@ EXIT_TABLE_HIT = "table-hit"
 EXIT_SMALL_N = "small-n-cpu-only"
 EXIT_GPU_BUSY = "gpu-busy-fallback"
 EXIT_DEGRADED = "degraded-cpu-only"
-EXIT_COOLDOWN = "cooldown-cpu-only"
 EXIT_FAULT_DEGRADED = "fault-degraded"
 EXIT_PROFILED = "profiled"
 EXIT_DEADLINE_INFEASIBLE = "deadline-infeasible"
 
 ALL_EXIT_PATHS = (
     EXIT_TABLE_HIT, EXIT_SMALL_N, EXIT_GPU_BUSY, EXIT_DEGRADED,
-    EXIT_COOLDOWN, EXIT_FAULT_DEGRADED, EXIT_PROFILED,
-    EXIT_DEADLINE_INFEASIBLE,
+    EXIT_FAULT_DEGRADED, EXIT_PROFILED, EXIT_DEADLINE_INFEASIBLE,
 )
 
 
@@ -97,10 +94,6 @@ class DecisionRecord:
     #: provisional or outgrown for a profile-sized launch).  Hit-rate
     #: aggregation must count this, not :attr:`table_hit`.
     table_usable: bool = False
-    #: Simulated seconds spent idling inside the ``gpu_busy`` debounce
-    #: re-check loop - charged to this decision so EXIT_GPU_BUSY
-    #: latency accounting includes the time the check itself burned.
-    debounce_idle_s: float = 0.0
     #: Owning tenant in a multiprogram run (None when single-tenant).
     tenant: Optional[str] = None
     #: Simulated SoC time when the invocation completed.
@@ -127,7 +120,6 @@ class DecisionRecord:
             "quarantined": self.quarantined,
             "table_hit": self.table_hit,
             "table_usable": self.table_usable,
-            "debounce_idle_s": self.debounce_idle_s,
             "tenant": self.tenant,
             "sim_time_s": self.sim_time_s,
             "notes": list(self.notes),

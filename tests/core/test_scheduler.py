@@ -96,8 +96,9 @@ class TestTableReuse:
 
     def test_outgrown_entry_triggers_reprofiling(self, runtime,
                                                  desktop_characterization):
-        eas = EnergyAwareScheduler(desktop_characterization, EDP,
-                                   config=SchedulerConfig(reprofile_growth=4.0))
+        """A launch more than REPROFILE_GROWTH times the one its alpha
+        was derived from profiles again."""
+        eas = EnergyAwareScheduler(desktop_characterization, EDP)
         kernel = compute_kernel()
         runtime.parallel_for(kernel, 5_000.0, eas)
         grown = runtime.parallel_for(kernel, 1_000_000.0, eas)

@@ -13,9 +13,11 @@ import pytest
 from repro.core.metrics import EDP
 from repro.core.profiling import ProfileAggregate
 from repro.core.scheduler import (
+    FAULT_BUDGET,
     GPU_FAULTED_FALLBACK,
-    SchedulerConfig,
+    MAX_PROFILE_ROUNDS,
     EnergyAwareScheduler,
+    SchedulerConfig,
 )
 from repro.errors import GpuFaultError
 from repro.runtime.kernel import Kernel
@@ -113,8 +115,7 @@ class TestGracefulDegradation:
         assert kernel.key in scheduler.degraded_kernels
         assert result.cpu_items == pytest.approx(N_ITEMS, rel=1e-6)
         # The budget bounds the time wasted on the lost cause.
-        assert faulty.fault_log.count("gpu-launch-fail") == \
-            scheduler.config.fault_budget
+        assert faulty.fault_log.count("gpu-launch-fail") == FAULT_BUDGET
 
     def test_degradation_is_sticky_across_invocations(
             self, desktop, desktop_characterization, kernel):
@@ -134,17 +135,16 @@ class TestGracefulDegradation:
             self, desktop, desktop_characterization, kernel):
         """Faults interleaved with successes drain the bucket: a
         lifetime fault count far above the budget must not degrade."""
-        config = SchedulerConfig(fault_budget=3, max_profile_retries=0)
-        scheduler = EnergyAwareScheduler(desktop_characterization, EDP,
-                                         config=config)
-        # Strict fail/pass alternation: bucket oscillates 1 -> 0.
+        scheduler = EnergyAwareScheduler(desktop_characterization, EDP)
+        # Strict fail/pass alternation: every fault is retried at once
+        # and the retry succeeds, so the bucket oscillates 1 -> 0.
         scripted = _ScriptedGpu(IntegratedProcessor(desktop),
-                                [True, False] * 20)
+                                [True, False] * 40)
         runtime = ConcordRuntime(scripted)
         for _ in range(6):
             runtime.parallel_for(kernel, N_ITEMS, scheduler)
         assert not scheduler.degraded_kernels
-        assert scheduler.fault_totals[kernel.key] >= config.fault_budget
+        assert scheduler.fault_totals[kernel.key] >= 2 * FAULT_BUDGET
 
     def test_zero_progress_observation_counts_as_fault(
             self, desktop, desktop_characterization, kernel):
@@ -195,12 +195,12 @@ class TestWatchdog:
             self, desktop, desktop_characterization, kernel):
         """With convergence disabled and profiling allowed to consume
         the whole invocation, only the watchdog ends the loop."""
-        config = SchedulerConfig(profile_fraction=1.0, convergence_tolerance=-1.0,
-                           max_profile_rounds=3)
+        config = SchedulerConfig(profile_fraction=1.0,
+                                 convergence_tolerance=-1.0)
         scheduler = EnergyAwareScheduler(desktop_characterization, EDP,
                                          config=config)
         result = run_once(IntegratedProcessor(desktop), kernel, scheduler)
-        assert result.profile_rounds == 3
+        assert result.profile_rounds == MAX_PROFILE_ROUNDS
         assert result.cpu_items + result.gpu_items == pytest.approx(
             N_ITEMS, rel=1e-6)
 

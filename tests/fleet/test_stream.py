@@ -23,6 +23,7 @@ from repro.fleet import (
     dispatch_stream,
     run_fleet,
 )
+from repro.fleet import dispatcher
 from repro.fleet.dispatcher import EXIT_FLEET_PLACEMENT
 from repro.fleet.policies import CellStats
 from repro.harness.engine import ExecutionEngine, ResultCache
@@ -160,8 +161,6 @@ class TestChunkIndependence:
     def test_bad_chunk_size(self, engine):
         with pytest.raises(HarnessError):
             dispatch_stream(FLEET, TRACE, engine=engine, chunk_size=0)
-        with pytest.raises(HarnessError):
-            dispatch_stream(FLEET, TRACE, engine=engine, sample_stride=0)
 
 
 class TestModeSwitch:
@@ -173,31 +172,42 @@ class TestModeSwitch:
 
 
 class TestSampling:
+    """The sampler's settings are module constants, patched per test."""
+
+    @pytest.fixture
+    def stride_one(self, monkeypatch):
+        monkeypatch.setattr(dispatcher, "DEFAULT_SAMPLE_STRIDE", 1)
+
+    @pytest.mark.usefixtures("stride_one")
     def test_stride_one_samples_everything(self, engine):
         st = dispatch_stream(FLEET, TRACE, policy="least_loaded",
-                             engine=engine, sample_stride=1)
+                             engine=engine)
+        assert st.sample_stride == 1
         assert st.records_matched == st.n_requests
         assert len(st.placement_records) == min(st.n_requests, 10_000)
         for record in st.placement_records:
             assert record.exit_path == EXIT_FLEET_PLACEMENT
             assert "policy:least_loaded" in record.notes
 
-    def test_misses_always_sampled(self, engine):
+    def test_misses_always_sampled(self, engine, monkeypatch):
         # A wide stride keeps only request 0 plus every deadline miss.
-        st = dispatch_stream(FLEET, TRACE, policy="random", engine=engine,
-                             sample_stride=10 ** 9)
+        monkeypatch.setattr(dispatcher, "DEFAULT_SAMPLE_STRIDE", 10 ** 9)
+        st = dispatch_stream(FLEET, TRACE, policy="random", engine=engine)
         assert st.records_matched >= st.deadline_misses
         assert st.records_matched <= st.deadline_misses + 1
 
-    def test_cap_is_exact_and_counted(self, engine):
+    @pytest.mark.usefixtures("stride_one")
+    def test_cap_is_exact_and_counted(self, engine, monkeypatch):
+        monkeypatch.setattr(dispatcher, "MAX_SAMPLED_RECORDS", 7)
         st = dispatch_stream(FLEET, TRACE, policy="round_robin",
-                             engine=engine, sample_stride=1, max_records=7)
+                             engine=engine)
         assert len(st.placement_records) == 7
         assert st.records_matched == st.n_requests  # dropped, not lost
 
+    @pytest.mark.usefixtures("stride_one")
     def test_stateful_records_carry_policy_reason(self, engine):
         st = dispatch_stream(FLEET, TRACE, policy="energy_aware",
-                             engine=engine, sample_stride=1)
+                             engine=engine)
         assert any("reason:" in note for record in st.placement_records
                    for note in record.notes)
 

@@ -72,8 +72,7 @@ def _suite(desktop, workload, metric, config):
 
 def _chaos(desktop, workload, metric, config):
     chaos.run_chaos_campaign(desktop, [workload_by_abbrev("MB"), workload],
-                             fault_levels=(0.0,), metric=metric,
-                             eas_config=config)
+                             fault_levels=(0.0,))
 
 
 @pytest.mark.usefixtures("no_simulation")
@@ -83,10 +82,8 @@ def _chaos(desktop, workload, metric, config):
     (_suite, workload_by_abbrev("CC"), CUSTOM_METRIC, None),
     (_suite, workload_by_abbrev("CC"), EDP, TunedConfig()),
     (_chaos, TaggedCC(), EDP, None),
-    (_chaos, workload_by_abbrev("CC"), CUSTOM_METRIC, None),
-    (_chaos, workload_by_abbrev("CC"), EDP, TunedConfig()),
 ], ids=["sweep-workload", "suite-workload", "suite-metric", "suite-config",
-        "chaos-workload", "chaos-metric", "chaos-config"])
+        "chaos-workload"])
 def test_entry_points_reject_before_simulating(desktop, entry, workload,
                                                metric, config):
     with pytest.raises(HarnessError):
