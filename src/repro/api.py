@@ -117,12 +117,9 @@ from repro.fleet import (
     LatencySketch,
     NodeSpec,
     RequestOutcome,
-    TraceChunk,
     TraceSpec,
     compare_fleet_policies,
     dispatch_stream,
-    generate_trace,
-    iter_trace_chunks,
     make_policy,
     run_fleet,
     trace_columns,
@@ -231,8 +228,7 @@ __all__ = [
     "AdmissionPolicy", "AdmissionDecision",
     # fleet simulation (see docs/FLEET.md)
     "FleetSpec", "NodeSpec", "PLATFORM_KINDS",
-    "TraceSpec", "FleetRequest", "generate_trace", "TRACE_KINDS",
-    "TraceChunk", "trace_columns", "iter_trace_chunks",
+    "TraceSpec", "FleetRequest", "TRACE_KINDS", "trace_columns",
     "PLACEMENT_POLICIES", "make_policy", "FleetView",
     "run_fleet", "FleetResult", "RequestOutcome", "FleetCellProfile",
     "compare_fleet_policies", "FleetComparisonResult",

@@ -353,12 +353,13 @@ class EnergyAwareScheduler:
                     and abs(alpha - prev_alpha) <= self.config.convergence_tolerance):
                 break
 
-        while alpha is None:
+        while alpha is None and not launch.is_done:
             # No successful profiling round yet - either the while loop
             # never ran (e.g. N barely above the profile size, or a
             # pathological profile fraction) or every round faulted
             # without exhausting the budget.  Take a minimal round,
-            # persisting until it succeeds or the budget is gone.
+            # persisting until it succeeds, the budget is gone, or the
+            # faulted rounds have drained the launch.
             # Clamp the chunk to the 64-item floor used in the main
             # loop so a tiny remainder cannot trip profile_chunk's
             # positivity check.
@@ -384,6 +385,19 @@ class EnergyAwareScheduler:
             round_overhead = time.perf_counter() - t_host
             decision_overhead += round_overhead
             obs.observe("eas.grid_search_us", round_overhead * 1e6)
+
+        if alpha is None:
+            # Faulted rounds drained the launch before any round
+            # succeeded: every item ran, but no alpha was derived, so
+            # table G records nothing.
+            reason = ("faulted profiling rounds drained the launch; "
+                      "no alpha derived")
+            self._emit_decision(launch, key, EXIT_PROFILED, alpha=0.0,
+                                quarantined=True, fallback_reason=reason,
+                                notes=["profiling-drained"])
+            return SchedulerRecord(alpha=0.0, profiled=True,
+                                   profiling_time_s=profiling_time,
+                                   notes=["profiling-drained"])
 
         if sanity_note is not None:
             faulted = True
@@ -517,10 +531,14 @@ class EnergyAwareScheduler:
         throughput estimates.  Returns ``(observation, had_fault)``;
         observation is None when the retries (or the kernel's whole
         fault budget) are exhausted and the caller must degrade to
-        CPU-only execution.
+        CPU-only execution, or when the launch is drained: a discarded
+        observation still retired its items, so the retries can empty
+        the pool.
         """
         had_fault = False
         for attempt in range(MAX_PROFILE_RETRIES + 1):
+            if launch.is_done:
+                break
             if attempt > 0:
                 self.observer.inc("eas.profile_retries")
             detail = ""

@@ -114,3 +114,17 @@ def closest_names(name: str, candidates: "list[str] | tuple[str, ...]",
     matches = difflib.get_close_matches(name.lower(), list(lowered),
                                         n=limit, cutoff=0.4)
     return tuple(lowered[m] for m in matches)
+
+
+def require_ints(owner: str, **values: object) -> None:
+    """Raise :class:`HarnessError` unless every value is an integer.
+
+    ``bool`` is not an integer here: ``True`` would build a spec that
+    canonicalizes apart from the ``1`` it equals.
+    """
+    import numbers
+
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise HarnessError(f"{owner} {name} must be an int, "
+                               f"not {value!r}")

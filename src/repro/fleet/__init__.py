@@ -41,10 +41,7 @@ from repro.fleet.topology import PLATFORM_KINDS, FleetSpec, NodeSpec
 from repro.fleet.trace import (
     TRACE_KINDS,
     FleetRequest,
-    TraceChunk,
     TraceSpec,
-    generate_trace,
-    iter_trace_chunks,
     trace_columns,
 )
 
@@ -62,12 +59,9 @@ __all__ = [
     "PLATFORM_KINDS",
     "RequestOutcome",
     "TRACE_KINDS",
-    "TraceChunk",
     "TraceSpec",
     "compare_fleet_policies",
     "dispatch_stream",
-    "generate_trace",
-    "iter_trace_chunks",
     "make_policy",
     "run_fleet",
     "run_fleet_cell",

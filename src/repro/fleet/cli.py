@@ -9,10 +9,9 @@ Examples::
         --duration 30 --rate 2 --tick-mode fast --fingerprint-only
 
 Routes a seeded arrival trace across a mixed desktop/tablet fleet
-under one or more placement policies (:func:`dispatch_stream`, in
-chunks of ``--chunk-size`` requests) and prints the per-policy
-accounting plus a byte-stable stream fingerprint (identical on
-reruns, at any ``--jobs N`` and at any ``--chunk-size``; see
+under one or more placement policies (:func:`dispatch_stream`) and
+prints the per-policy accounting plus a byte-stable stream
+fingerprint (identical on reruns and at any ``--jobs N``; see
 docs/FLEET.md).
 """
 
@@ -27,12 +26,7 @@ from typing import List, Optional
 from repro.errors import HarnessError, UnknownNameError, closest_names
 from repro.fleet.dispatcher import FleetComparisonResult, dispatch_stream
 from repro.fleet.topology import FleetSpec
-from repro.fleet.trace import (
-    DEFAULT_CHUNK_SIZE,
-    DEFAULT_TRACE_WORKLOADS,
-    TRACE_KINDS,
-    TraceSpec,
-)
+from repro.fleet.trace import DEFAULT_TRACE_WORKLOADS, TRACE_KINDS, TraceSpec
 from repro.fleet.policies import PLACEMENT_POLICIES
 from repro.harness.engine import ExecutionEngine, ResultCache
 from repro.soc.spec import TICK_MODES
@@ -91,11 +85,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(default: edp)")
     parser.add_argument("--tick-mode", choices=TICK_MODES, default="exact",
                         help="node simulator clock mode (default: exact)")
-    parser.add_argument("--chunk-size", type=int,
-                        default=DEFAULT_CHUNK_SIZE, metavar="N",
-                        help="requests per dispatch chunk (default: "
-                             f"{DEFAULT_CHUNK_SIZE}; fingerprints are "
-                             "byte-identical at any N)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for cell simulations "
                              "(default: 1 = serial; fingerprints are "
@@ -134,8 +123,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     started = time.perf_counter()
     results = tuple(
-        dispatch_stream(fleet, trace, policy=policy, engine=engine,
-                        chunk_size=args.chunk_size)
+        dispatch_stream(fleet, trace, policy=policy, engine=engine)
         for policy in policies)
     if len(results) == 1:
         result = results[0]

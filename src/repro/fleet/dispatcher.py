@@ -59,12 +59,7 @@ from repro.fleet.policies import (
 )
 from repro.fleet.sketch import LatencySketch
 from repro.fleet.topology import FleetSpec
-from repro.fleet.trace import (
-    DEFAULT_CHUNK_SIZE,
-    FleetRequest,
-    TraceSpec,
-    trace_columns,
-)
+from repro.fleet.trace import FleetRequest, TraceSpec, trace_columns
 from repro.harness.engine import (
     KIND_FLEET_CELL,
     ExecutionEngine,
@@ -81,6 +76,9 @@ from repro.soc.carbon import CarbonTrace
 #: level records keep the scheduler's own Fig.-7 exit paths).
 EXIT_FLEET_PLACEMENT = "fleet-placement"
 
+#: Dispatches per chunk of the dispatch loop.  Fingerprints are
+#: byte-identical at any size; it bounds per-chunk state.
+DEFAULT_CHUNK_SIZE = 65536
 #: dispatch_stream keeps one DecisionRecord per this many requests...
 DEFAULT_SAMPLE_STRIDE = 1000
 #: ...plus every anomalous (deadline-missing) request, capped here so
@@ -578,22 +576,21 @@ class _DispatchLoop:
 
     Construction validates the inputs and expands the trace into
     columns; :meth:`chunks` resolves the cells, routes the trace and
-    yields one :class:`_Chunk` per ``chunk_size`` dispatches.  Every
+    yields one :class:`_Chunk` per :data:`DEFAULT_CHUNK_SIZE`
+    dispatches (read at construction, so a test can patch it).  Every
     policy keeps its queue state in the :class:`FleetView`'s
     class-major slots.
     """
 
     def __init__(self, fleet: FleetSpec, trace: TraceSpec, policy: str,
                  engine: Optional[ExecutionEngine],
-                 observer: Optional[Observer], chunk_size: int) -> None:
-        if chunk_size <= 0:
-            raise HarnessError("chunk_size must be positive")
+                 observer: Optional[Observer]) -> None:
         self.placer = make_policy(policy, seed=fleet.seed)  # validates
         self.fleet, self.trace, self.policy = fleet, trace, policy
         self.engine = engine if engine is not None else get_default_engine()
         self.obs = (observer if observer is not None and observer.enabled
                     else None)
-        self.chunk_size = chunk_size
+        self.chunk_rows = DEFAULT_CHUNK_SIZE
         self.nodes = fleet.nodes()
         self.node_names = [n.name for n in self.nodes]
         self.node_kind = np.array(
@@ -663,8 +660,8 @@ class _DispatchLoop:
                 order = np.lexsort((np.arange(len(td_col)), td_col))
                 t_col, w_col, d_col, td_col = (t_col[order], w_col[order],
                                                d_col[order], td_col[order])
-            for start in range(0, self.n_requests, self.chunk_size):
-                stop = min(start + self.chunk_size, self.n_requests)
+            for start in range(0, self.n_requests, self.chunk_rows):
+                stop = min(start + self.chunk_rows, self.n_requests)
                 t_ch, w_ch, d_ch = (t_col[start:stop], w_col[start:stop],
                                     d_col[start:stop])
                 td_ch = td_col[start:stop]
@@ -672,7 +669,7 @@ class _DispatchLoop:
                        else np.arange(start, stop, dtype=np.int64))
                 started = time.perf_counter()
                 with (obs.span("fleet.dispatch.chunk",
-                               index=start // self.chunk_size,
+                               index=start // self.chunk_rows,
                                start_id=start, requests=stop - start)
                       if obs is not None else nullcontext()):
                     nodes_ch, ts_ch, tc_ch, reasons = place(
@@ -897,8 +894,7 @@ def run_fleet(fleet: FleetSpec, trace: TraceSpec,
     :func:`dispatch_stream` routes through the same loop and keeps
     bounded aggregates instead.
     """
-    loop = _DispatchLoop(fleet, trace, policy, engine, observer,
-                         DEFAULT_CHUNK_SIZE)
+    loop = _DispatchLoop(fleet, trace, policy, engine, observer)
     outcomes: List[RequestOutcome] = []
     records: List[DecisionRecord] = []
     for chunk in loop.chunks():
@@ -964,7 +960,8 @@ class FleetStreamResult:
     fleet: FleetSpec
     trace: TraceSpec
     policy: str
-    chunk_size: int
+    #: Rows per chunk (:data:`DEFAULT_CHUNK_SIZE` when it ran).
+    chunk_rows: int
     n_chunks: int
     n_requests: int
     cells: Tuple[FleetCellProfile, ...]
@@ -1024,7 +1021,7 @@ class FleetStreamResult:
         return _render_dispatch(
             self, "Fleet dispatch (streaming)",
             f"{self.n_requests} "
-            f"({self.n_chunks} chunks of <= {self.chunk_size})",
+            f"({self.n_chunks} chunks of <= {self.chunk_rows})",
             f"{self.latency_percentile_s(95):.2f} s "
             f"(sketch, +/-{self.sketch.rel_err:.0%})",
             [("sampled records", f"{len(self.placement_records)} kept of "
@@ -1035,8 +1032,7 @@ class FleetStreamResult:
 def dispatch_stream(fleet: FleetSpec, trace: TraceSpec,
                     policy: str = "energy_aware",
                     engine: Optional[ExecutionEngine] = None,
-                    observer: Optional[Observer] = None,
-                    chunk_size: int = DEFAULT_CHUNK_SIZE
+                    observer: Optional[Observer] = None
                     ) -> FleetStreamResult:
     """Route ``trace`` over ``fleet``, keeping streaming aggregates.
 
@@ -1047,7 +1043,7 @@ def dispatch_stream(fleet: FleetSpec, trace: TraceSpec,
     :data:`MAX_SAMPLED_RECORDS`).  On carbon-aware fleets it also keeps
     one float per request, for an exactly rounded carbon total.
     """
-    loop = _DispatchLoop(fleet, trace, policy, engine, observer, chunk_size)
+    loop = _DispatchLoop(fleet, trace, policy, engine, observer)
     n_workloads = len(trace.workloads)
     busy_s = np.zeros(len(loop.nodes), dtype=np.float64)
     cell_counts = np.zeros((len(_PLATFORM_ORDER), n_workloads),
@@ -1090,7 +1086,7 @@ def dispatch_stream(fleet: FleetSpec, trace: TraceSpec,
                            loop.energy_table)
     result = FleetStreamResult(
         fleet=fleet, trace=trace, policy=policy,
-        chunk_size=chunk_size, n_chunks=n_chunks,
+        chunk_rows=loop.chunk_rows, n_chunks=n_chunks,
         n_requests=loop.n_requests, cells=loop.cells,
         cells_executed=loop.cells_executed,
         dispatch_counts={"desktop": int(cell_counts[0].sum()),

@@ -1,11 +1,12 @@
 """CPython's ``random.Random(seed)`` stream, drawn in bulk.
 
 The fleet's traces and its ``random`` placement policy are defined by
-``random.Random`` call sequences (the scalar generators in
-:mod:`repro.fleet.trace` and :class:`~repro.fleet.policies.RandomPolicy`
-are the reference).  Calling those methods once per request is the
-dominant cost of a million-request campaign, so :class:`MTStream`
-reproduces the same stream without the per-call overhead: numpy's
+``random.Random`` call sequences (the scalar trace generators in
+``tests/fleet/reference_trace.py`` and
+:class:`~repro.fleet.policies.RandomPolicy` are the reference).
+Calling those methods once per request is the dominant cost of a
+million-request campaign, so :class:`MTStream` reproduces the same
+stream without the per-call overhead: numpy's
 ``MT19937`` is seeded from ``random.Random(seed).getstate()`` and draws
 the raw 32-bit words in bounded blocks, and every primitive is rebuilt
 from those words exactly as CPython (3.9-3.12) builds it:

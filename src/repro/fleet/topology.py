@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.core.metrics import metric_by_name
-from repro.errors import HarnessError
+from repro.errors import HarnessError, require_ints
 from repro.soc.carbon import CarbonSpec
 from repro.soc.spec import (
     TICK_MODES,
@@ -72,6 +72,7 @@ class FleetSpec:
     carbon: Optional[CarbonSpec] = None
 
     def __post_init__(self) -> None:
+        require_ints("fleet", n_nodes=self.n_nodes, seed=self.seed)
         if self.n_nodes < 1:
             raise HarnessError("fleet needs at least one node")
         if not 0.0 <= self.desktop_fraction <= 1.0:

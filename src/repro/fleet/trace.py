@@ -1,8 +1,8 @@
 """Seeded open-loop arrival traces: the fleet's stand-in for traffic.
 
-Three generator families, all driven by one ``random.Random(seed)``
-(Mersenne Twister - platform-stable), so a :class:`TraceSpec` maps to
-exactly one request sequence forever:
+Three generator families, all driven by the draw sequence of one
+``random.Random(seed)`` (Mersenne Twister - platform-stable), so a
+:class:`TraceSpec` maps to exactly one request sequence forever:
 
 * ``diurnal`` - a non-homogeneous Poisson process whose rate follows a
   one-period sinusoid over the trace (the classic day/night curve),
@@ -16,6 +16,13 @@ exactly one request sequence forever:
   Built to stress tie-breaking, hotspot collapse, and deadline
   accounting in the dispatcher.
 
+:func:`trace_columns` expands a spec into flat arrival-ordered
+columns (~18 bytes per request), replaying the Mersenne Twister words
+in bulk from an :class:`~repro.fleet.mtstream.MTStream`.  The scalar
+form it replays - one ``random.Random`` method call per draw, one
+:class:`FleetRequest` per request - is the test oracle in
+``tests/fleet/reference_trace.py``.
+
 Requests carry a *relative* deadline (a latency budget from arrival);
 the dispatcher turns it absolute.  Request ids are positional in
 arrival order, so the trace itself is part of the fleet fingerprint.
@@ -24,10 +31,9 @@ arrival order, so the trace itself is part of the fleet fingerprint.
 from __future__ import annotations
 
 import math
-import random
 from array import array
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -35,11 +41,8 @@ from repro.errors import HarnessError
 from repro.fleet.mtstream import MTStream, follow
 from repro.workloads.registry import workload_by_abbrev
 
-#: The arrival-trace families :func:`generate_trace` implements.
+#: The arrival-trace families :func:`trace_columns` implements.
 TRACE_KINDS: Tuple[str, ...] = ("diurnal", "bursty", "adversarial")
-
-#: Requests per columnar block yielded by :func:`iter_trace_chunks`.
-DEFAULT_CHUNK_SIZE = 65536
 
 #: Default request mix: tablet-supported workloads with strongly
 #: asymmetric per-platform energy (MB and MM are far cheaper on the
@@ -77,21 +80,6 @@ class FleetRequest:
     #: Relative latency budget: the request misses its deadline when
     #: completion exceeds ``t_arrival_s + deadline_s``.
     deadline_s: float
-    #: How long the dispatcher may *hold* the request past arrival
-    #: (carbon-aware temporal shifting); 0 means dispatch on arrival.
-    #: Always derived as ``deferral_fraction * deadline_s`` - never a
-    #: fresh RNG draw - so enabling deferral does not perturb the
-    #: trace's arrival/deadline stream.
-    deferrable_s: float = 0.0
-
-    def canonical(self) -> str:
-        base = (f"{self.req_id}|{self.t_arrival_s!r}|{self.workload}"
-                f"|{self.deadline_s!r}")
-        # Appended only when nonzero so pre-deferral canonicals (and
-        # the fingerprints built on them) are unchanged.
-        if self.deferrable_s:
-            base += f"|defer={self.deferrable_s!r}"
-        return base
 
 
 @dataclass(frozen=True)
@@ -155,172 +143,11 @@ class TraceSpec:
             base += f"|defer={self.deferral_fraction!r}"
         return base
 
-    def requests(self) -> Tuple[FleetRequest, ...]:
-        return generate_trace(self)
 
-    def chunks(self, chunk_size: int = DEFAULT_CHUNK_SIZE
-               ) -> Iterator["TraceChunk"]:
-        return iter_trace_chunks(self, chunk_size)
-
-
-@dataclass
-class _Draft:
-    """A request before ids are assigned (generation order retained)."""
-
-    t: float
-    workload: str
-    deadline_s: float
-    order: int = field(default=0)
-
-
-def _finalize(drafts: List[_Draft],
-              deferral_fraction: float = 0.0) -> Tuple[FleetRequest, ...]:
-    for i, draft in enumerate(drafts):
-        draft.order = i
-    drafts.sort(key=lambda d: (d.t, d.order))
-    return tuple(
-        FleetRequest(req_id=i, t_arrival_s=d.t, workload=d.workload,
-                     deadline_s=d.deadline_s,
-                     deferrable_s=deferral_fraction * d.deadline_s)
-        for i, d in enumerate(drafts))
-
-
-def _poisson_arrivals(rng: random.Random, rate_hz: float,
-                      duration_s: float) -> List[float]:
-    times: List[float] = []
-    t = rng.expovariate(rate_hz)
-    while t < duration_s:
-        times.append(t)
-        t += rng.expovariate(rate_hz)
-    return times
-
-
-def _diurnal(spec: TraceSpec, rng: random.Random) -> List[_Draft]:
-    # Thinning: draw a homogeneous process at the peak rate, accept
-    # each candidate with probability rate(t)/peak.  One full sinusoid
-    # period spans the trace, trough first (night), peak mid-trace.
-    peak = spec.mean_rate_hz * (1.0 + _DIURNAL_AMPLITUDE)
-    drafts: List[_Draft] = []
-    for t in _poisson_arrivals(rng, peak, spec.duration_s):
-        phase = 2.0 * math.pi * t / spec.duration_s - math.pi / 2.0
-        rate = spec.mean_rate_hz * (
-            1.0 + _DIURNAL_AMPLITUDE * math.sin(phase))
-        if rng.random() * peak < rate:
-            drafts.append(_Draft(
-                t=t, workload=rng.choice(spec.workloads),
-                deadline_s=rng.uniform(spec.deadline_lo_s,
-                                       spec.deadline_hi_s)))
-    return drafts
-
-
-def _bursty(spec: TraceSpec, rng: random.Random) -> List[_Draft]:
-    background_rate = spec.mean_rate_hz * (1.0 - _BURST_LOAD_FRACTION)
-    drafts = [
-        _Draft(t=t, workload=rng.choice(spec.workloads),
-               deadline_s=rng.uniform(spec.deadline_lo_s,
-                                      spec.deadline_hi_s))
-        for t in _poisson_arrivals(rng, background_rate, spec.duration_s)]
-    burst_load = spec.mean_rate_hz * spec.duration_s * _BURST_LOAD_FRACTION
-    n_bursts = max(1, round(burst_load / _BURST_MEAN_SIZE))
-    for _ in range(n_bursts):
-        epoch = rng.uniform(0.0, spec.duration_s)
-        size = 1 + int(rng.expovariate(1.0 / _BURST_MEAN_SIZE))
-        hot = rng.choice(spec.workloads)  # one hot workload per burst
-        for _ in range(size):
-            t = epoch + rng.uniform(0.0, _BURST_WINDOW_S)
-            if t < spec.duration_s:
-                drafts.append(_Draft(
-                    t=t, workload=hot,
-                    deadline_s=rng.uniform(spec.deadline_lo_s,
-                                           spec.deadline_hi_s)))
-    return drafts
-
-
-def _adversarial(spec: TraceSpec, rng: random.Random) -> List[_Draft]:
-    trickle_rate = spec.mean_rate_hz * (1.0 - _WAVE_LOAD_FRACTION)
-    drafts = [
-        _Draft(t=t, workload=rng.choice(spec.workloads),
-               deadline_s=rng.uniform(spec.deadline_lo_s,
-                                      spec.deadline_hi_s))
-        for t in _poisson_arrivals(rng, trickle_rate, spec.duration_s)]
-    wave_load = spec.mean_rate_hz * spec.duration_s * _WAVE_LOAD_FRACTION
-    per_wave = max(1, round(wave_load / _N_WAVES))
-    for wave in range(_N_WAVES):
-        t = wave * spec.duration_s / _N_WAVES
-        workload = spec.workloads[wave % len(spec.workloads)]
-        for _ in range(per_wave):
-            # Identical timestamps on purpose: the dispatcher's
-            # tie-breaking (request id order) must be deterministic.
-            drafts.append(_Draft(t=t, workload=workload,
-                                 deadline_s=spec.deadline_lo_s))
-    return drafts
-
-
-_GENERATORS = {
-    "diurnal": _diurnal,
-    "bursty": _bursty,
-    "adversarial": _adversarial,
-}
-
-
-def generate_trace(spec: TraceSpec) -> Tuple[FleetRequest, ...]:
-    """Expand ``spec`` into its (deterministic) request sequence."""
-    rng = random.Random(spec.seed)
-    return _finalize(_GENERATORS[spec.kind](spec, rng),
-                     spec.deferral_fraction)
-
-
-# --------------------------------------------------------------------
-# Chunked columnar form
-#
-# The scalar generators above are the *reference*: one FleetRequest
-# object per request, ~200+ bytes each, hopeless at millions of
-# requests.  The columnar form below replays the exact same draw
-# sequence from an :class:`~repro.fleet.mtstream.MTStream` - the same
-# Mersenne Twister words, consumed in bulk instead of one method call
-# at a time - into flat columns (~18 bytes per request), and
-# finalizes with one numpy argsort instead of a list sort (unstable,
-# falling back to the stable one when arrival times tie).
-# Every arithmetic expression is kept textually identical to the
-# scalar twin: re-associating even one product changes float
-# rounding, which changes an accept/reject draw, which desynchronizes
-# the stream.  Element-for-element equality with the scalar generators
-# under the same seed is a locked contract (tests/fleet/test_trace.py
-# and the hypothesis suite differential-test it).
-
-
-@dataclass(frozen=True)
-class TraceChunk:
-    """A bounded columnar block of consecutive requests.
-
-    Request ids are positional: row ``i`` of the chunk is request
-    ``start_id + i``.  ``workload_idx`` indexes into ``workloads``
-    (the spec's tuple, in spec order).  Arrays are read-only views
-    over the trace's column store - do not mutate.
-    """
-
-    start_id: int
-    workloads: Tuple[str, ...]
-    t_arrival_s: np.ndarray     # float64, nondecreasing
-    workload_idx: np.ndarray    # uint16 index into ``workloads``
-    deadline_s: np.ndarray      # float64 relative latency budget
-    #: The spec's deferral fraction; deferrable_s stays derived
-    #: (``fraction * deadline``) so no column is needed for it.
-    deferral_fraction: float = 0.0
-
-    def __len__(self) -> int:
-        return len(self.t_arrival_s)
-
-    def requests(self) -> Iterator[FleetRequest]:
-        """Expand to scalar requests (testing/debug convenience)."""
-        for i in range(len(self.t_arrival_s)):
-            deadline = float(self.deadline_s[i])
-            yield FleetRequest(
-                req_id=self.start_id + i,
-                t_arrival_s=float(self.t_arrival_s[i]),
-                workload=self.workloads[int(self.workload_idx[i])],
-                deadline_s=deadline,
-                deferrable_s=self.deferral_fraction * deadline)
+# The helpers below replay the oracle's draw sequence in bulk.  Every
+# arithmetic expression is kept textually identical to the oracle's:
+# re-associating even one product changes float rounding, which flips
+# an accept/reject draw and desynchronizes the stream.
 
 
 #: Arrivals per block of diurnal acceptance rates (``math.sin`` list).
@@ -568,11 +395,11 @@ def trace_columns(spec: TraceSpec
     """Expand ``spec`` into arrival-ordered columns.
 
     Returns ``(t_arrival_s, workload_idx, deadline_s)`` with row ``i``
-    describing request id ``i`` - the columnar image of
-    :func:`generate_trace`.  The sort on arrival time breaks ties by
-    generation order (see :meth:`_Columns.sorted`), exactly like the
-    scalar ``(t, order)`` sort, so the two forms agree
-    element-for-element.
+    describing request id ``i`` - the columnar image of the scalar
+    oracle (``tests/fleet/reference_trace.py``).  The sort on arrival
+    time breaks ties by generation order (see :meth:`_Columns.sorted`),
+    exactly like the oracle's ``(t, order)`` sort, so the two forms
+    agree element-for-element.
     """
     stream = MTStream(spec.seed)
     # Duplicate workload names map to their last index, like the
@@ -589,26 +416,3 @@ def trace_columns(spec: TraceSpec
         _wave_rows(spec, index, cols)
     return cols.sorted()
 
-
-def iter_trace_chunks(spec: TraceSpec,
-                      chunk_size: int = DEFAULT_CHUNK_SIZE
-                      ) -> Iterator[TraceChunk]:
-    """Yield the trace as bounded read-only columnar chunks.
-
-    The column store itself is materialized once (the global
-    arrival-order sort needs it; ~18 bytes/request, against ~200+ for
-    the object form), then sliced into zero-copy views of at most
-    ``chunk_size`` rows so downstream per-chunk state stays bounded.
-    """
-    if chunk_size <= 0:
-        raise HarnessError("chunk_size must be positive")
-    t, w, d = trace_columns(spec)
-    for col in (t, w, d):
-        col.setflags(write=False)
-    for start in range(0, len(t), chunk_size):
-        stop = min(start + chunk_size, len(t))
-        yield TraceChunk(start_id=start, workloads=spec.workloads,
-                         t_arrival_s=t[start:stop],
-                         workload_idx=w[start:stop],
-                         deadline_s=d[start:stop],
-                         deferral_fraction=spec.deferral_fraction)

@@ -111,7 +111,11 @@ from repro.workloads.registry import workload_by_abbrev
 #: v9: the ``fleet-dispatch`` kind was removed, and with it those four
 #: fields and their canonical keys: the fleet has one dispatch loop
 #: and no run kind of its own.
-CACHE_SCHEMA_VERSION = 9
+#:
+#: v10: EAS stops profiling a launch that faulted profiling rounds
+#: drained, where it used to raise; chaos cells cached as failed
+#: (``ok=False``) under v9 must re-run.
+CACHE_SCHEMA_VERSION = 10
 
 # -- task kinds -----------------------------------------------------------------
 

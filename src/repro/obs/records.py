@@ -22,7 +22,9 @@ to zero.  The exit paths:
 ``profiled``              the full profile/classify/optimize path
                           (lines 13-26); may still carry a
                           ``fallback_reason`` if the partitioned phase
-                          faulted and drained on the CPU
+                          faulted and drained on the CPU, or if faulted
+                          profiling rounds drained the launch before
+                          any alpha was derived (``profiling-drained``)
 ``deadline-infeasible``   profiled under a deadline-constrained metric,
                           but no grid point met the budget: the
                           feasible set was empty and the scheduler ran

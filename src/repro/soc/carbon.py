@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.errors import HarnessError
+from repro.errors import HarnessError, require_ints
 
 #: Joules per kilowatt-hour - converts g/kWh intensity into grams per
 #: joule when weighting simulated energy.
@@ -71,6 +71,8 @@ class CarbonSpec:
     seed: int = 2016
 
     def __post_init__(self) -> None:
+        require_ints("carbon", n_harmonics=self.n_harmonics,
+                     n_regions=self.n_regions, seed=self.seed)
         if not (math.isfinite(self.base_gco2_kwh)
                 and self.base_gco2_kwh > 0.0):
             raise HarnessError("carbon base_gco2_kwh must be positive "

@@ -38,9 +38,11 @@ from repro.harness.engine import ExecutionEngine, get_default_engine
 from repro.obs.observer import Observer
 from repro.obs.records import DecisionRecord
 from repro.soc.carbon import CarbonTrace
+from tests.fleet.reference_trace import generate_trace
 
 
-def _deferral_start(request: FleetRequest, carbon: CarbonTrace) -> float:
+def _deferral_start(request: FleetRequest, deferrable_s: float,
+                    carbon: CarbonTrace) -> float:
     """The earliest lowest-intensity dispatch instant in the hold window.
 
     The deferral decision happens *before* placement (no node, hence
@@ -48,13 +50,13 @@ def _deferral_start(request: FleetRequest, carbon: CarbonTrace) -> float:
     region 0.  Per-region accounting still prices the energy at the
     serving node's own region once placed.
     """
-    if request.deferrable_s <= 0.0:
+    if deferrable_s <= 0.0:
         return request.t_arrival_s
     best_t = request.t_arrival_s
     best_value = carbon.intensity(best_t, 0)
     for k in range(1, _DEFERRAL_SAMPLES):
         t = (request.t_arrival_s
-             + request.deferrable_s * k / (_DEFERRAL_SAMPLES - 1))
+             + deferrable_s * k / (_DEFERRAL_SAMPLES - 1))
         value = carbon.intensity(t, 0)
         if value < best_value:
             best_value = value
@@ -92,7 +94,7 @@ def run_fleet_reference(fleet: FleetSpec, trace: TraceSpec,
     if engine is None:
         engine = get_default_engine()
     obs = observer if observer is not None and observer.enabled else None
-    requests = trace.requests()
+    requests = generate_trace(trace)
     view = FleetView(fleet.nodes())
     placer = make_policy(policy, seed=fleet.seed)
 
@@ -122,14 +124,18 @@ def run_fleet_reference(fleet: FleetSpec, trace: TraceSpec,
                 obs.observe("fleet.latency_s", outcome.latency_s)
 
     # Carbon-aware temporal shifting: a deferrable request may be held
-    # up to its deferrable_s for a lower-intensity window, after which
-    # it re-enters the dispatch order at its *effective* time (ties on
-    # req_id - explicit-integer tie-breaking, like everything here).
+    # up to ``deferral_fraction * deadline_s`` for a lower-intensity
+    # window, after which it re-enters the dispatch order at its
+    # *effective* time (ties on req_id - explicit-integer
+    # tie-breaking, like everything here).
     # With no carbon signal the schedule is the arrival order verbatim.
     carbon = fleet.carbon.trace() if fleet.carbon is not None else None
     if carbon is not None:
-        schedule = [(_deferral_start(request, carbon), request)
-                    for request in requests]
+        schedule = [
+            (_deferral_start(
+                request, trace.deferral_fraction * request.deadline_s,
+                carbon), request)
+            for request in requests]
         schedule.sort(key=lambda pair: (pair[0], pair[1].req_id))
     else:
         schedule = [(request.t_arrival_s, request) for request in requests]

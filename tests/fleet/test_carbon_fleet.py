@@ -11,12 +11,18 @@ sample inside their slack window.  See docs/OBJECTIVES.md.
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.errors import HarnessError
-from repro.fleet.dispatcher import dispatch_stream, run_fleet
+from repro.fleet.dispatcher import (
+    _DEFERRAL_SAMPLES,
+    _dispatch_times,
+    dispatch_stream,
+    run_fleet,
+)
 from repro.fleet.topology import FleetSpec
-from repro.fleet.trace import TraceSpec, generate_trace
+from repro.fleet.trace import TraceSpec, trace_columns
 from repro.soc.carbon import CarbonSpec
 
 #: One short diurnal carbon period so a 60 s trace sees full swings.
@@ -97,13 +103,20 @@ class TestTemporalShifting:
         assert shifted.total_carbon_g <= unshifted.total_carbon_g * 1.001
 
     def test_unshifted_trace_has_no_deferral_slack(self):
-        for request in generate_trace(TRACE):
-            assert request.deferrable_s == 0.0
+        t, _, d = trace_columns(TRACE)
+        assert _dispatch_times(t, d, TRACE.deferral_fraction,
+                               CARBON.trace()) is t
 
     def test_deferrable_slack_is_fraction_of_deadline(self):
-        for request in generate_trace(SHIFTED_TRACE):
-            assert request.deferrable_s == pytest.approx(
-                0.8 * request.deadline_s)
+        # Every dispatch instant is one of the evenly spaced samples of
+        # [arrival, arrival + 0.8 * deadline].
+        t, _, d = trace_columns(SHIFTED_TRACE)
+        released = _dispatch_times(t, d, 0.8, CARBON.trace())
+        k = np.arange(_DEFERRAL_SAMPLES, dtype=np.float64)
+        instants = (t[:, None]
+                    + (0.8 * d)[:, None] * k / (_DEFERRAL_SAMPLES - 1))
+        assert np.all((instants == released[:, None]).any(axis=1))
+        assert np.any(released > t)
 
 
 class TestDeterminism:

@@ -7,6 +7,7 @@ from repro.fleet import FleetSpec, TraceSpec, compare_fleet_policies, run_fleet
 from repro.fleet.dispatcher import EXIT_FLEET_PLACEMENT
 from repro.harness.engine import ExecutionEngine, ResultCache
 from repro.obs.observer import Observer
+from tests.fleet.reference_trace import generate_trace
 
 #: Small, fast-mode fixtures: the fleet layer's cost is per distinct
 #: (class, workload) cell, not per node or per request.
@@ -70,14 +71,14 @@ class TestDedup:
                            engine=engine)
         assert len(result.cells) == 4
         assert result.cells_executed == 0  # same cells as the 16-node run
-        assert result.n_requests == len(TRACE.requests())
+        assert result.n_requests == len(generate_trace(TRACE))
 
 
 class TestAccounting:
     def test_outcomes_cover_trace(self, engine):
         result = run_fleet(FLEET, TRACE, policy="least_loaded",
                            engine=engine)
-        requests = TRACE.requests()
+        requests = generate_trace(TRACE)
         assert result.n_requests == len(requests)
         for outcome, request in zip(result.outcomes, requests):
             assert outcome.req_id == request.req_id

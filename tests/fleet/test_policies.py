@@ -53,6 +53,11 @@ class TestTopology:
             FleetSpec(tick_mode="warp")
         with pytest.raises(HarnessError):
             NodeSpec(index=0, platform_kind="mainframe")
+        # bool is not an int: True would key a second one-node fleet.
+        for kwargs in ({"n_nodes": 2.5}, {"n_nodes": True},
+                       {"seed": 1.0}, {"seed": False}):
+            with pytest.raises(HarnessError, match="must be an int"):
+                FleetSpec(**kwargs)
 
     def test_platform_specs_carry_fleet_tick_mode(self):
         fleet = FleetSpec(n_nodes=2, tick_mode="fast")

@@ -5,7 +5,8 @@ Its contract is *identical placement decisions and timestamps* to the
 per-request scalar loop it replaced (the oracle,
 ``tests/fleet/reference_dispatch.py``) - locked here by byte-equal
 fingerprints across every policy and trace family, carbon pricing and
-deferral included, at any chunk size.
+deferral included, at any chunk size (``DEFAULT_CHUNK_SIZE`` patched
+per test).
 """
 
 import dataclasses
@@ -22,6 +23,7 @@ from repro.fleet import (
     TraceSpec,
     dispatch_stream,
     run_fleet,
+    trace_columns,
 )
 from repro.fleet import dispatcher
 from repro.fleet.dispatcher import EXIT_FLEET_PLACEMENT
@@ -42,6 +44,12 @@ TRACE = TraceSpec(kind="bursty", duration_s=20.0, mean_rate_hz=1.5,
 #: empty-trace guard).
 EMPTY_TRACE = TraceSpec(kind="diurnal", duration_s=0.01,
                         mean_rate_hz=0.01, seed=0)
+
+
+@pytest.fixture
+def chunk_rows(monkeypatch):
+    """Set the dispatch loop's rows per chunk for one test."""
+    return lambda n: monkeypatch.setattr(dispatcher, "DEFAULT_CHUNK_SIZE", n)
 
 
 @pytest.fixture(scope="module")
@@ -107,12 +115,14 @@ class TestRandomPlacementStream:
     LONG_TRACE = dataclasses.replace(TRACE, mean_rate_hz=10.0)
 
     @pytest.mark.parametrize("workloads", (("MM", "RT"), ("MM", "BFS")))
-    def test_chunked_stream_matches_reference(self, engine, workloads):
+    def test_chunked_stream_matches_reference(self, engine, chunk_rows,
+                                              workloads):
         trace = dataclasses.replace(self.LONG_TRACE, workloads=workloads)
         ref = run_fleet_reference(self.FLEET10, trace, policy="random",
                                   engine=engine)
+        chunk_rows(7)
         st = dispatch_stream(self.FLEET10, trace, policy="random",
-                             engine=engine, chunk_size=7)
+                             engine=engine)
         assert st.n_chunks > 1
         assert stream_fingerprint(ref) == st.fingerprint()
 
@@ -149,18 +159,17 @@ class TestTieBreakRegression:
 
 class TestChunkIndependence:
     @pytest.mark.parametrize("chunk_size", (1, 5, 17, 4096))
-    def test_fingerprint_chunk_size_independent(self, engine, chunk_size):
+    def test_fingerprint_chunk_size_independent(self, engine, chunk_rows,
+                                                chunk_size):
         base = dispatch_stream(FLEET, TRACE, policy="energy_aware",
                                engine=engine)
+        chunk_rows(chunk_size)
         chunked = dispatch_stream(FLEET, TRACE, policy="energy_aware",
-                                  engine=engine, chunk_size=chunk_size)
+                                  engine=engine)
         assert chunked.fingerprint() == base.fingerprint()
+        assert chunked.chunk_rows == chunk_size
         assert chunked.n_chunks == -(-chunked.n_requests // chunk_size)
         assert chunked.total_energy_j == base.total_energy_j
-
-    def test_bad_chunk_size(self, engine):
-        with pytest.raises(HarnessError):
-            dispatch_stream(FLEET, TRACE, engine=engine, chunk_size=0)
 
 
 class TestModeSwitch:
@@ -216,7 +225,7 @@ class TestEmptyTraceRegression:
     """The zero-request guard: both modes survive an empty trace."""
 
     def test_trace_is_actually_empty(self):
-        assert len(EMPTY_TRACE.requests()) == 0
+        assert len(trace_columns(EMPTY_TRACE)[0]) == 0
 
     def test_reference_mode(self, engine):
         ref = run_fleet(FLEET, EMPTY_TRACE, policy="energy_aware",
@@ -262,11 +271,11 @@ class TestCellStatsGuardRegression:
 
 
 class TestObservability:
-    def test_streaming_metrics_and_span(self, engine):
+    def test_streaming_metrics_and_span(self, engine, chunk_rows):
         observer = Observer()
+        chunk_rows(32)
         st = dispatch_stream(FLEET, TRACE, policy="least_loaded",
-                             engine=engine, chunk_size=32,
-                             observer=observer)
+                             engine=engine, observer=observer)
         snapshot = observer.metrics.snapshot()
         counters = snapshot["counters"]
         assert counters["fleet.dispatch.requests"] == st.n_requests
@@ -303,12 +312,13 @@ class TestRepeatedWorkloadNames:
                                seed=9)
 
     @pytest.mark.parametrize("policy", PLACEMENT_POLICIES)
-    def test_matches_oracle(self, engine, policy):
+    def test_matches_oracle(self, engine, chunk_rows, policy):
         ref = run_fleet_reference(self.FLEET8, self.TRACE_MM_RT_MM,
                                   policy=policy, engine=engine)
         assert {o.workload for o in ref.outcomes} == {"MM", "RT"}
+        chunk_rows(7)
         st = dispatch_stream(self.FLEET8, self.TRACE_MM_RT_MM,
-                             policy=policy, engine=engine, chunk_size=7)
+                             policy=policy, engine=engine)
         assert st.fingerprint() == stream_fingerprint(ref)
         result = run_fleet(self.FLEET8, self.TRACE_MM_RT_MM, policy=policy,
                            engine=engine)
@@ -336,10 +346,11 @@ class TestCarbonStream:
             o.req_id for o in ref.outcomes)
 
     @pytest.mark.parametrize("chunk_size", (1, 7, 65536))
-    def test_stream_digest_matches_oracle(self, engine, ref, chunk_size):
+    def test_stream_digest_matches_oracle(self, engine, ref, chunk_rows,
+                                          chunk_size):
+        chunk_rows(chunk_size)
         st = dispatch_stream(self.CARBON_FLEET, self.DEFERRAL_TRACE,
-                             policy="energy_aware", engine=engine,
-                             chunk_size=chunk_size)
+                             policy="energy_aware", engine=engine)
         assert st.fingerprint() == stream_fingerprint(ref)
         result = run_fleet(self.CARBON_FLEET, self.DEFERRAL_TRACE,
                            policy="energy_aware", engine=engine)

@@ -1,4 +1,8 @@
-"""Arrival-trace generators: determinism, shapes, validation, columns."""
+"""Arrival-trace generators: determinism, shapes, validation, columns.
+
+``trace_columns`` is checked element for element against the scalar
+oracle in ``tests/fleet/reference_trace.py``.
+"""
 
 import random
 
@@ -6,15 +10,13 @@ import numpy as np
 import pytest
 
 from repro.errors import HarnessError
-from repro.fleet import (
-    TRACE_KINDS,
-    TraceSpec,
-    generate_trace,
-    iter_trace_chunks,
-    trace_columns,
-)
+from repro.fleet import TRACE_KINDS, FleetSpec, TraceSpec, trace_columns
+from repro.fleet import dispatcher
 from repro.fleet import trace as trace_module
 from repro.fleet.mtstream import BLOCK_WORDS
+from repro.harness.engine import ExecutionEngine, ResultCache
+from tests.fleet import reference_trace
+from tests.fleet.reference_trace import generate_trace
 
 
 class TestDeterminism:
@@ -25,12 +27,12 @@ class TestDeterminism:
         assert generate_trace(spec) == generate_trace(spec)
 
     def test_seed_changes_trace(self):
-        a = TraceSpec(kind="bursty", seed=1).requests()
-        b = TraceSpec(kind="bursty", seed=2).requests()
+        a = generate_trace(TraceSpec(kind="bursty", seed=1))
+        b = generate_trace(TraceSpec(kind="bursty", seed=2))
         assert a != b
 
     def test_ids_positional_in_arrival_order(self):
-        requests = TraceSpec(kind="bursty", duration_s=30.0).requests()
+        requests = generate_trace(TraceSpec(kind="bursty", duration_s=30.0))
         assert [r.req_id for r in requests] == list(range(len(requests)))
         times = [r.t_arrival_s for r in requests]
         assert times == sorted(times)
@@ -39,13 +41,13 @@ class TestDeterminism:
 class TestShapes:
     def test_rate_roughly_respected(self):
         spec = TraceSpec(kind="diurnal", duration_s=200.0, mean_rate_hz=5.0)
-        n = len(spec.requests())
+        n = len(generate_trace(spec))
         assert 0.6 * 1000 < n < 1.4 * 1000
 
     def test_adversarial_has_simultaneous_waves(self):
         spec = TraceSpec(kind="adversarial", duration_s=40.0,
                          mean_rate_hz=4.0)
-        requests = spec.requests()
+        requests = generate_trace(spec)
         by_time = {}
         for r in requests:
             by_time.setdefault(r.t_arrival_s, []).append(r)
@@ -58,7 +60,7 @@ class TestShapes:
 
     def test_bursty_bursts_share_hot_workload(self):
         spec = TraceSpec(kind="bursty", duration_s=60.0, mean_rate_hz=4.0)
-        requests = spec.requests()
+        requests = generate_trace(spec)
         # at least one 0.5s window holds a cluster of one workload
         found = False
         for i, r in enumerate(requests):
@@ -71,7 +73,7 @@ class TestShapes:
 
     def test_deadlines_in_range(self):
         spec = TraceSpec(kind="diurnal", duration_s=30.0)
-        for r in spec.requests():
+        for r in generate_trace(spec):
             assert spec.deadline_lo_s <= r.deadline_s <= spec.deadline_hi_s
 
 
@@ -100,7 +102,7 @@ class TestValidation:
     def test_bad_deadlines(self):
         with pytest.raises(HarnessError):
             TraceSpec(deadline_lo_s=10.0, deadline_hi_s=5.0)
-        # An infinite budget drew deadline_s=inf and deferrable_s=nan.
+        # An infinite budget drew deadline_s=inf (and a NaN hold window).
         for lo, hi in ((1.0, float("inf")), (float("inf"), float("inf")),
                        (float("nan"), 5.0), (1.0, float("nan"))):
             with pytest.raises(HarnessError):
@@ -115,16 +117,15 @@ class TestValidation:
 
 
 class TestColumnarForm:
-    """The chunked columnar generators are element-for-element twins
-    of the scalar generators under the same seed - the streaming
-    dispatcher's input contract."""
+    """The columnar form is the element-for-element twin of the scalar
+    oracle under the same seed - the dispatch loop's input contract."""
 
     @pytest.mark.parametrize("kind", TRACE_KINDS)
     @pytest.mark.parametrize("seed", (1, 7, 2016))
     def test_columns_match_scalar_trace(self, kind, seed):
         spec = TraceSpec(kind=kind, duration_s=30.0, mean_rate_hz=3.0,
                          seed=seed)
-        requests = spec.requests()
+        requests = generate_trace(spec)
         t, w, d = trace_columns(spec)
         assert len(t) == len(w) == len(d) == len(requests)
         for i, r in enumerate(requests):
@@ -141,33 +142,29 @@ class TestColumnarForm:
         assert np.all(np.diff(t) >= 0.0)
 
     @pytest.mark.parametrize("chunk_size", (1, 7, 10 ** 6))
-    def test_chunks_tile_the_trace(self, chunk_size):
+    def test_chunks_tile_the_trace(self, tmp_path, monkeypatch, chunk_size):
+        """The dispatch loop hands the columns on in chunks of at most
+        ``DEFAULT_CHUNK_SIZE`` rows that tile the trace in order."""
         spec = TraceSpec(kind="bursty", duration_s=30.0, mean_rate_hz=3.0,
-                         seed=5)
-        requests = spec.requests()
-        chunks = list(iter_trace_chunks(spec, chunk_size=chunk_size))
-        assert sum(len(c) for c in chunks) == len(requests)
-        assert all(len(c) <= chunk_size for c in chunks)
-        rebuilt = [r for c in chunks for r in c.requests()]
-        assert tuple(rebuilt) == requests
-        # chunk rows keep positional ids
-        for chunk in chunks:
-            assert chunk.start_id == next(chunk.requests()).req_id
-
-    def test_chunk_arrays_are_read_only(self):
-        spec = TraceSpec(kind="diurnal", duration_s=20.0, mean_rate_hz=2.0)
-        chunk = next(iter_trace_chunks(spec, chunk_size=8))
-        with pytest.raises(ValueError):
-            chunk.t_arrival_s[0] = 0.0
-        with pytest.raises(ValueError):
-            chunk.workload_idx[0] = 0
-
-    def test_bad_chunk_size(self):
-        spec = TraceSpec(kind="bursty", duration_s=10.0)
-        with pytest.raises(HarnessError):
-            next(iter_trace_chunks(spec, chunk_size=0))
-        with pytest.raises(HarnessError):
-            next(iter_trace_chunks(spec, chunk_size=-4))
+                         workloads=("MM", "RT"), seed=5)
+        fleet = FleetSpec(n_nodes=4, tick_mode="fast", seed=9)
+        engine = ExecutionEngine(cache=ResultCache(str(tmp_path)))
+        monkeypatch.setattr(dispatcher, "DEFAULT_CHUNK_SIZE", chunk_size)
+        loop = dispatcher._DispatchLoop(fleet, spec, "round_robin", engine,
+                                        None)
+        chunks = list(loop.chunks())
+        t, w, d = trace_columns(spec)
+        assert all(0 < len(c) <= chunk_size for c in chunks)
+        assert [c.start for c in chunks] == list(
+            range(0, len(t), chunk_size))
+        assert np.array_equal(np.concatenate([c.req_id for c in chunks]),
+                              np.arange(len(t)))
+        assert np.array_equal(
+            np.concatenate([c.t_arrival_s for c in chunks]), t)
+        assert np.array_equal(
+            np.concatenate([c.workload_idx for c in chunks]), w)
+        assert np.array_equal(
+            np.concatenate([c.deadline_s for c in chunks]), d)
 
 
 def _assert_columns_equal_scalar(spec):
@@ -239,15 +236,15 @@ class TestColumnsAtBlockScale:
                 return value
 
         rng = Recorder(spec.seed)
-        trace_module._bursty(spec, rng)
+        reference_trace._bursty(spec, rng)
         straddling = dropped = 0
         epoch = None
         for a, b, value in rng.uniforms:
             if (a, b) == (0.0, spec.duration_s):
                 epoch = value
-                straddling += (epoch + trace_module._BURST_WINDOW_S
+                straddling += (epoch + reference_trace._BURST_WINDOW_S
                                >= spec.duration_s)
-            elif (a, b) == (0.0, trace_module._BURST_WINDOW_S):
+            elif (a, b) == (0.0, reference_trace._BURST_WINDOW_S):
                 dropped += epoch + value >= spec.duration_s
         assert straddling >= 2 and dropped >= 1
         _assert_columns_equal_scalar(spec)

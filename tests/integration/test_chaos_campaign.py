@@ -142,3 +142,27 @@ class TestReporting:
         assert cell_seed(2016, "BS", 0.5) == cell_seed(2016, "BS", 0.5)
         assert cell_seed(2016, "BS", 0.5) != cell_seed(2016, "MM", 0.5)
         assert cell_seed(2016, "BS", 0.5) != cell_seed(2017, "BS", 0.5)
+
+
+class TestDrainedProfilingRegression:
+    """Faulted profiling rounds still retire their items, so their
+    retries can drain a launch before any round succeeds.  Profiling
+    must then end (no retry on an exhausted launch) and the invocation
+    complete as ``profiled`` with its faults on the record."""
+
+    @pytest.mark.parametrize("abbrev,level,seed",
+                             (("NB", 1.0, 99), ("BFS", 0.9, 0)))
+    def test_cell_completes(self, abbrev, level, seed):
+        campaign = run_chaos_campaign(
+            workloads=[workload_by_abbrev(abbrev)], fault_levels=(level,),
+            seed=seed)
+        assert campaign.all_ok
+        assert campaign.all_items_processed
+        drained = [r for cell in campaign.cells
+                   for r in cell.decision_records
+                   if "profiling-drained" in r.notes]
+        assert drained
+        for record in drained:
+            assert record.exit_path == "profiled"
+            assert record.quarantined
+            assert record.fault_events

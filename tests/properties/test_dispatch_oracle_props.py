@@ -4,10 +4,13 @@
 the oracle is the per-request scalar loop it replaced
 (``tests/fleet/reference_dispatch.py``).  Over small fleets, every
 policy, every trace family, repeated workload names, carbon pricing
-with and without deferral, and chunk sizes from one request to the
-whole trace, ``run_fleet`` must reproduce the oracle's fingerprint and
-``dispatch_stream`` the oracle's stream digest, byte for byte.
+with and without deferral, and chunk sizes (``DEFAULT_CHUNK_SIZE``,
+patched) from one request to the whole trace, ``run_fleet`` must
+reproduce the oracle's fingerprint and ``dispatch_stream`` the
+oracle's stream digest, byte for byte.
 """
+
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +24,7 @@ from repro.fleet import (
     dispatch_stream,
     run_fleet,
 )
+from repro.fleet import dispatcher
 from repro.harness.engine import ExecutionEngine, ResultCache
 from repro.soc.carbon import CarbonSpec
 from tests.fleet.reference_dispatch import (
@@ -70,7 +74,8 @@ def test_both_consumers_match_the_oracle(engine, n_nodes, desktop_fraction,
     result = run_fleet(fleet, trace, policy=policy, engine=engine)
     assert result.fingerprint() == oracle.fingerprint()
     assert result.placement_records == oracle.placement_records
-    streamed = dispatch_stream(fleet, trace, policy=policy, engine=engine,
-                               chunk_size=chunk_size)
+    with mock.patch.object(dispatcher, "DEFAULT_CHUNK_SIZE", chunk_size):
+        streamed = dispatch_stream(fleet, trace, policy=policy,
+                                   engine=engine)
     assert streamed.fingerprint() == stream_fingerprint(oracle)
     assert streamed.total_carbon_g == oracle.total_carbon_g

@@ -1,24 +1,19 @@
 """Property suites for the columnar arrival-trace generators.
 
-The streaming dispatcher's input contract: under any spec, the
-columnar form (``trace_columns`` / ``iter_trace_chunks``) is the
-element-for-element twin of the scalar ``generate_trace``, arrivals
-are nondecreasing, deadlines stay inside the spec's range, and
-chunking at any size tiles the trace exactly.
+The dispatch loop's input contract: under any spec, the columnar
+form (``trace_columns``) is the element-for-element twin of the scalar
+oracle (``generate_trace`` in ``tests/fleet/reference_trace.py``),
+arrivals are nondecreasing, and deadlines stay inside the spec's
+range.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fleet import (
-    TRACE_KINDS,
-    TraceSpec,
-    generate_trace,
-    iter_trace_chunks,
-    trace_columns,
-)
+from repro.fleet import TRACE_KINDS, TraceSpec, trace_columns
 from repro.workloads.registry import DESKTOP_SUITE
+from tests.fleet.reference_trace import generate_trace
 
 #: Keep traces small: the properties are per-element, not per-scale
 #: (tests/fleet/test_trace.py covers traces that span several of the
@@ -62,25 +57,6 @@ class TestColumnScalarTwins:
             assert np.all(w < len(spec.workloads))
             assert np.all(d >= spec.deadline_lo_s)
             assert np.all(d <= spec.deadline_hi_s)
-
-    @given(spec=spec_st, chunk_size=st.integers(1, 300))
-    @settings(max_examples=40, deadline=None)
-    def test_chunks_tile_exactly(self, spec, chunk_size):
-        t, w, d = trace_columns(spec)
-        chunks = list(iter_trace_chunks(spec, chunk_size=chunk_size))
-        assert sum(len(c) for c in chunks) == len(t)
-        assert all(0 < len(c) <= chunk_size for c in chunks)
-        next_id = 0
-        for chunk in chunks:
-            assert chunk.start_id == next_id
-            next_id += len(chunk)
-        if chunks:
-            rebuilt_t = np.concatenate([c.t_arrival_s for c in chunks])
-            rebuilt_w = np.concatenate([c.workload_idx for c in chunks])
-            rebuilt_d = np.concatenate([c.deadline_s for c in chunks])
-            assert np.array_equal(rebuilt_t, t)
-            assert np.array_equal(rebuilt_w, w)
-            assert np.array_equal(rebuilt_d, d)
 
     @given(spec=spec_st)
     @settings(max_examples=20, deadline=None)

@@ -28,6 +28,10 @@ class TestSpecValidation:
         {"n_harmonics": 0},
         {"noise_gco2_kwh": -1.0},
         {"n_regions": 0},
+        {"n_harmonics": 2.5},
+        {"n_harmonics": True},
+        {"n_regions": 2.0},
+        {"seed": True},
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(HarnessError):

@@ -60,8 +60,7 @@ EXPECTED_API = sorted([
     "AdmissionPolicy", "AdmissionDecision",
     # fleet simulation (docs/FLEET.md)
     "FleetSpec", "NodeSpec", "PLATFORM_KINDS",
-    "TraceSpec", "FleetRequest", "generate_trace", "TRACE_KINDS",
-    "TraceChunk", "trace_columns", "iter_trace_chunks",
+    "TraceSpec", "FleetRequest", "TRACE_KINDS", "trace_columns",
     "PLACEMENT_POLICIES", "make_policy", "FleetView",
     "run_fleet", "FleetResult", "RequestOutcome", "FleetCellProfile",
     "compare_fleet_policies", "FleetComparisonResult",
