@@ -17,7 +17,10 @@ rides the same chunked loop as ``dispatch_stream``:
   reported unasserted (``least_loaded`` stays per-request sequential
   by nature - each dispatch moves the backlog the next one reads).
   The view-reading policies (``energy_aware``, ``deadline_aware``)
-  stream the reference-sized trace, also reported unasserted.
+  stream the reference-sized trace, also reported unasserted, and so
+  does ``energy_aware_carbon``: ``energy_aware`` on the same fleet
+  with a carbon signal (``CarbonSpec()``) and half of each deadline
+  deferrable (``deferral_fraction=0.5``).
 * **bounded memory** - tracemalloc peak per request: streaming must
   stay under a fifth of the reference's per-request footprint (it
   holds ~18 B/request of columns; the reference holds outcome +
@@ -25,7 +28,8 @@ rides the same chunked loop as ``dispatch_stream``:
 * **equivalence** - on a reduced grid every policy's streaming run
   fingerprints byte-identical to the reference's stream digest
   (``stream_fingerprint``: same placement decisions, same
-  timestamps).
+  timestamps), and so does the carbon-and-deferral cell, whose carbon
+  total must also match the reference's to the bit.
 * **policy quality** - ``energy_aware`` still beats ``random`` on
   fleet energy without missing more deadlines (reduced grid).
 * **disabled observability** - the per-chunk instrumentation costs
@@ -41,6 +45,7 @@ import json
 import os
 import time
 import tracemalloc
+from dataclasses import replace
 
 from repro.fleet import (
     PLACEMENT_POLICIES,
@@ -50,6 +55,7 @@ from repro.fleet import (
     trace_columns,
 )
 from repro.harness.engine import ExecutionEngine, ResultCache
+from repro.soc.carbon import CarbonSpec
 from tests.fleet.reference_dispatch import (
     run_fleet_reference,
     stream_fingerprint,
@@ -78,6 +84,12 @@ REF_TRACE = TraceSpec(kind="bursty", duration_s=REF_REQUESTS / RATE_HZ,
                       mean_rate_hz=RATE_HZ, workloads=WORKLOADS,
                       seed=2016)
 
+#: The carbon-and-deferral cell: ``energy_aware`` prices grid carbon
+#: and may hold each request for half its deadline.
+CARBON_POLICY = "energy_aware"
+CARBON_FLEET = replace(FLEET, carbon=CarbonSpec())
+CARBON_REF_TRACE = replace(REF_TRACE, deferral_fraction=0.5)
+
 #: Reduced grid for the cross-mode equivalence lock and the policy
 #: quality check: small enough that the per-request reference loop
 #: runs every policy quickly.
@@ -92,19 +104,33 @@ FULL_TRACE_POLICIES = ("round_robin", "random", "least_loaded")
 VIEW_POLICIES = ("energy_aware", "deadline_aware")
 
 
-def _timed_stream(engine, policy, trace=TRACE):
+def _timed_stream(engine, policy, trace=TRACE, fleet=FLEET):
     started = time.perf_counter()
-    result = dispatch_stream(FLEET, trace, policy=policy, engine=engine)
+    result = dispatch_stream(fleet, trace, policy=policy, engine=engine)
     wall = time.perf_counter() - started
     return result, wall
 
 
-def _timed_reference(engine, policy):
+def _timed_reference(engine, policy, trace=REF_TRACE, fleet=FLEET):
     started = time.perf_counter()
-    result = run_fleet_reference(FLEET, REF_TRACE, policy=policy,
+    result = run_fleet_reference(fleet, trace, policy=policy,
                                  engine=engine)
     wall = time.perf_counter() - started
     return result, wall
+
+
+def _throughput_row(stream, stream_wall, ref, ref_wall):
+    stream_rate = stream.n_requests / stream_wall
+    ref_rate = ref.n_requests / ref_wall
+    return {
+        "stream_requests": stream.n_requests,
+        "stream_req_per_s": round(stream_rate),
+        "stream_wall_s": round(stream_wall, 3),
+        "stream_chunks": stream.n_chunks,
+        "reference_req_per_s": round(ref_rate),
+        "reference_wall_s": round(ref_wall, 3),
+        "speedup": round(stream_rate / ref_rate, 2),
+    }
 
 
 def _peak_bytes(fn):
@@ -168,20 +194,16 @@ def test_fleet_streaming_campaign(benchmark, tmp_path):
             st, st_wall = _timed_stream(engine, policy,
                                         TRACE if full else REF_TRACE)
             ref, ref_wall = _timed_reference(engine, policy)
-            st_rate = st.n_requests / st_wall
-            ref_rate = ref.n_requests / ref_wall
             if full:
                 report["campaign"]["requests"] = st.n_requests
             report["campaign"]["reference_requests"] = ref.n_requests
-            report["throughput"][policy] = {
-                "stream_requests": st.n_requests,
-                "stream_req_per_s": round(st_rate),
-                "stream_wall_s": round(st_wall, 3),
-                "stream_chunks": st.n_chunks,
-                "reference_req_per_s": round(ref_rate),
-                "reference_wall_s": round(ref_wall, 3),
-                "speedup": round(st_rate / ref_rate, 2),
-            }
+            report["throughput"][policy] = _throughput_row(
+                st, st_wall, ref, ref_wall)
+        report["throughput"]["energy_aware_carbon"] = _throughput_row(
+            *_timed_stream(engine, CARBON_POLICY, CARBON_REF_TRACE,
+                           CARBON_FLEET),
+            *_timed_reference(engine, CARBON_POLICY, CARBON_REF_TRACE,
+                              CARBON_FLEET))
         return report
 
     benchmark.pedantic(_measure, rounds=1, iterations=1, warmup_rounds=0)
@@ -238,6 +260,22 @@ def test_fleet_streaming_campaign(benchmark, tmp_path):
         assert identical, (
             f"streaming {policy} diverged from the reference on the "
             f"reduced grid - placement decisions are not identical")
+
+    carbon_fleet = replace(GRID_FLEET, carbon=CarbonSpec())
+    carbon_trace = replace(GRID_TRACE, deferral_fraction=0.5)
+    ref = run_fleet_reference(carbon_fleet, carbon_trace,
+                              policy=CARBON_POLICY, engine=engine)
+    st = dispatch_stream(carbon_fleet, carbon_trace, policy=CARBON_POLICY,
+                         engine=engine)
+    identical = (stream_fingerprint(ref) == st.fingerprint()
+                 and ref.total_carbon_g == st.total_carbon_g)
+    report["equivalence"]["energy_aware_carbon"] = {
+        "requests": ref.n_requests,
+        "fingerprints_identical": identical,
+    }
+    assert identical, (
+        "streaming energy_aware with carbon deferral diverged from the "
+        "reference on the reduced grid")
 
     # -- policy quality (unchanged claim, streaming numbers) -----------------
     energy_aware = dispatch_stream(GRID_FLEET, GRID_TRACE,

@@ -10,19 +10,18 @@ content-addressed cache dedupes the rest - a thousand-node fleet costs
 as many simulations as it has distinct cells.
 
 The profile it extracts is strictly software-visible (wall-clock of
-the run, MSR-readable energy, the scheduler's own final alpha and
-decision records): the fleet layer sees what a deployment agent could
-measure, never simulator internals.
+the run, MSR-readable energy, the scheduler's own final alpha): the
+fleet layer sees what a deployment agent could measure, never
+simulator internals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.errors import HarnessError
 from repro.obs.observer import Observer
-from repro.obs.records import DecisionRecord
 from repro.workloads.registry import workload_by_abbrev
 
 
@@ -30,10 +29,13 @@ from repro.workloads.registry import workload_by_abbrev
 class FleetCellProfile:
     """Measured end-to-end profile of one (platform class, workload).
 
-    ``decisions`` carries the node-local EAS audit trail; it is
-    deliberately excluded from :meth:`canonical` (fingerprints cover
-    outcomes, audit payloads ride alongside - same contract as the
-    chaos campaign's cells).
+    It holds no per-invocation records: ``invocations`` is their
+    count, and the node-local EAS decision records go to the run's
+    observer, if any, not into the cached profile.  :meth:`canonical`
+    returns ``canonical_text``, which :func:`run_fleet_cell` formats
+    once from the run's full invocation list: fleet fingerprints keep
+    that byte form, and a cached cell decodes as a few scalars and one
+    string.
     """
 
     platform: str
@@ -46,14 +48,13 @@ class FleetCellProfile:
     energy_j: float
     #: The EAS scheduler's converged GPU offload ratio.
     final_alpha: Optional[float]
+    #: Invocations in one full request.
     invocations: int
-    decisions: Tuple[DecisionRecord, ...] = ()
+    #: This cell's fingerprint line, formatted by :func:`run_fleet_cell`.
+    canonical_text: str = field(repr=False)
 
     def canonical(self) -> str:
-        alpha = "" if self.final_alpha is None else repr(self.final_alpha)
-        return (f"{self.platform}|{self.platform_kind}|{self.workload}"
-                f"|{self.tick_mode}|{self.time_s!r}|{self.energy_j!r}"
-                f"|{alpha}|{self.invocations}")
+        return self.canonical_text
 
 
 def run_fleet_cell(spec, observer: Optional[Observer] = None
@@ -79,13 +80,20 @@ def run_fleet_cell(spec, observer: Optional[Observer] = None
     run = run_application(spec.platform, workload, scheduler,
                           strategy_name=spec.scheduler.strategy_name,
                           tablet=spec.tablet, observer=observer)
+    platform_kind = "tablet" if spec.tablet else "desktop"
+    alpha = "" if run.final_alpha is None else repr(run.final_alpha)
     return FleetCellProfile(
         platform=spec.platform.name,
-        platform_kind="tablet" if spec.tablet else "desktop",
+        platform_kind=platform_kind,
         workload=spec.workload,
         tick_mode=spec.platform.tick_mode,
         time_s=run.time_s,
         energy_j=run.energy_j,
         final_alpha=run.final_alpha,
-        invocations=run.invocations,
-        decisions=tuple(getattr(scheduler, "decisions", ())))
+        invocations=len(run.invocations),
+        # The line embeds ``str`` of the full invocation list: the
+        # pinned fleet fingerprints hash that form.
+        canonical_text=(
+            f"{spec.platform.name}|{platform_kind}|{spec.workload}"
+            f"|{spec.platform.tick_mode}|{run.time_s!r}|{run.energy_j!r}"
+            f"|{alpha}|{run.invocations}"))

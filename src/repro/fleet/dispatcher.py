@@ -547,6 +547,102 @@ def _fifo_schedule(arrivals: np.ndarray, service: np.ndarray,
     return t_start, t_complete
 
 
+class _SlotHeaps:
+    """Least-loaded placement over the view's class blocks, from heaps.
+
+    Each class block keeps its idle slots (``free_at <= now``) in a heap
+    of slot numbers and its busy slots in a heap of ``(free_at, slot)``;
+    a busy slot moves to the idle heap once the dispatch clock passes
+    its drain instant, so dispatch instants must never decrease.  The
+    pick is the slice argmin's over the blocks of a span, in slot
+    order: the first block with an idle slot gives its lowest one
+    (backlog 0), else the lowest ``(backlog, slot)`` of the busy tops.
+    Backlog is the rounded ``free_at - now``, and two different drain
+    instants can round to one backlog, so a tie at the top of a busy
+    heap goes to the lowest slot, not the earliest instant.
+    ``free_at`` (the view's slot array) is updated with every dispatch.
+    """
+
+    def __init__(self, free_at: np.ndarray,
+                 blocks: Sequence[Tuple[int, int]], now: float) -> None:
+        self.free_at = free_at
+        self.idle: List[List[int]] = []
+        self.busy: List[List[Tuple[float, int]]] = []
+        for lo, hi in blocks:
+            drains = list(zip(free_at[lo:hi].tolist(), range(lo, hi)))
+            self.idle.append([slot for f, slot in drains if f <= now])
+            busy = [(f, slot) for f, slot in drains if f > now]
+            heapq.heapify(busy)
+            self.busy.append(busy)
+
+    def route(self, times: Sequence[float],
+              spans: Iterator[Tuple[int, ...]],
+              services: Iterator[Sequence[float]]
+              ) -> Tuple[array, array, array]:
+        """Place one request per dispatch instant on the least-loaded
+        slot of its span (block indices, in slot order), which then
+        serves it for ``services[i][slot]`` seconds after its queue
+        drains.  Returns the slots, starts and completions."""
+        free, idle_heaps, busy_heaps = self.free_at, self.idle, self.busy
+        heappush, heappop = heapq.heappush, heapq.heappop
+        slots, starts, completes = array("q"), array("d"), array("d")
+        for t, span, service in zip(times, spans, services):
+            best = None
+            for block in span:
+                idle, busy = idle_heaps[block], busy_heaps[block]
+                while busy and busy[0][0] <= t:
+                    heappush(idle, heappop(busy)[1])
+                if idle:
+                    best = (0.0, idle[0], block, -1)
+                    break
+                f, slot = busy[0]
+                backlog, pos = f - t, 0
+                n = len(busy)
+                if ((n > 1 and busy[1][0] - t == backlog)
+                        or (n > 2 and busy[2][0] - t == backlog)):
+                    slot, pos = _lowest_tied(busy, t, backlog)
+                if best is None or backlog < best[0]:
+                    best = (backlog, slot, block, pos)
+            _, slot, block, pos = best
+            if pos < 0:
+                heappop(idle_heaps[block])
+                t_start = t
+            else:
+                busy = busy_heaps[block]
+                t_start = busy[pos][0]
+                if pos:  # a tie below the top: rare
+                    del busy[pos]
+                    heapq.heapify(busy)
+                else:
+                    heappop(busy)
+            t_complete = t_start + service[slot]
+            free[slot] = t_complete
+            if t_complete > t:
+                heappush(busy_heaps[block], (t_complete, slot))
+            else:
+                heappush(idle_heaps[block], slot)
+            slots.append(slot)
+            starts.append(t_start)
+            completes.append(t_complete)
+        return slots, starts, completes
+
+
+def _lowest_tied(busy: List[Tuple[float, int]], now: float,
+                 backlog: float) -> Tuple[int, int]:
+    """(slot, heap position) of the lowest slot whose rounded backlog
+    equals the top's.  The rounding is monotone, so the tied entries
+    form a subtree at the root of the heap."""
+    slot, pos = busy[0][1], 0
+    stack = [1, 2]
+    while stack:
+        i = stack.pop()
+        if i < len(busy) and busy[i][0] - now == backlog:
+            if busy[i][1] < slot:
+                slot, pos = busy[i][1], i
+            stack += (2 * i + 1, 2 * i + 2)
+    return slot, pos
+
+
 @dataclass
 class _Chunk:
     """One chunk of routed requests; every column in dispatch order."""
@@ -747,6 +843,15 @@ class _DispatchLoop:
             slot_kind = self.node_kind[self._slot_nodes]
             self._slot_service = {wi: self.svc_table[slot_kind, wi].tolist()
                                   for wi in present}
+            # Class k holds slots [bounds[k], bounds[k + 1]).
+            bounds = np.searchsorted(
+                slot_kind, np.arange(len(_PLATFORM_ORDER) + 1)).tolist()
+            self._heaps = _SlotHeaps(view.slot_free_at,
+                                     list(zip(bounds, bounds[1:])), view.now)
+            self._spans = {
+                wi: tuple(_PLATFORM_ORDER.index(kind) for kind in
+                          view.eligible_kinds(self.workloads[wi]))
+                for wi in present}
             return self._place_least_loaded
         self._retirement = _BucketRetirement(len(self.nodes))
         return self._place_by_view
@@ -779,23 +884,15 @@ class _DispatchLoop:
 
     def _place_least_loaded(self, start, ids, t_ch, td_ch, w_ch, d_ch):
         # Sequential by nature (each dispatch moves the backlog the
-        # next one reads); the lookup is the view's slice argmin over
-        # the workload's eligible slot range.
-        view, slot_service = self.view, self._slot_service
-        free, least_loaded_slot = view.slot_free_at, view.least_loaded_slot
-        spans = {wi: view.eligible_span(self.workloads[wi])
-                 for wi in self.present}
-        slots_ch, starts, completes = array("q"), array("d"), array("d")
-        for t, wi in zip(td_ch.tolist(), w_ch.tolist()):
-            view.now = t
-            slot = least_loaded_slot(*spans[wi])
-            t_start = max(t, free.item(slot))
-            t_complete = t_start + slot_service[wi][slot]
-            free[slot] = t_complete
-            slots_ch.append(slot)
-            starts.append(t_start)
-            completes.append(t_complete)
-        return (self._slot_nodes[np.frombuffer(slots_ch, dtype=np.int64)],
+        # next one reads): one heap lookup per request, in dispatch
+        # order, which never goes back in time.
+        w_list = w_ch.tolist()
+        slots, starts, completes = self._heaps.route(
+            td_ch.tolist(), map(self._spans.__getitem__, w_list),
+            map(self._slot_service.__getitem__, w_list))
+        if w_list:
+            self.view.now = td_ch.item(-1)
+        return (self._slot_nodes[np.frombuffer(slots, dtype=np.int64)],
                 np.frombuffer(starts, dtype=np.float64),
                 np.frombuffer(completes, dtype=np.float64), None)
 

@@ -90,7 +90,10 @@ class FleetView:
     so each class and each eligible set is one contiguous slice of
     :attr:`slot_free_at`, and a least-loaded lookup is one argmin over
     a view.  ``argmin`` keeps the first of equals, which is exactly
-    the strict-``<`` scan's tie-break in eligible order.
+    the strict-``<`` scan's tie-break in eligible order.  The dispatch
+    loop's ``least_loaded`` placement answers the same lookup from
+    per-class heaps over these slots and keeps :attr:`slot_free_at`
+    and :attr:`now` current as it goes.
     """
 
     def __init__(self, nodes: Sequence[NodeSpec]) -> None:

@@ -115,7 +115,10 @@ from repro.workloads.registry import workload_by_abbrev
 #: v10: EAS stops profiling a launch that faulted profiling rounds
 #: drained, where it used to raise; chaos cells cached as failed
 #: (``ok=False``) under v9 must re-run.
-CACHE_SCHEMA_VERSION = 10
+#:
+#: v11: a cached ``FleetCellProfile`` holds its invocation count and
+#: its fingerprint line, not the invocation and decision records.
+CACHE_SCHEMA_VERSION = 11
 
 # -- task kinds -----------------------------------------------------------------
 
