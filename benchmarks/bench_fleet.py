@@ -47,6 +47,7 @@ import time
 import tracemalloc
 from dataclasses import replace
 
+from repro.fleet import dispatcher
 from repro.fleet import (
     PLACEMENT_POLICIES,
     FleetSpec,
@@ -163,7 +164,7 @@ def _disabled_obs_bound_pct(engine, stream_wall_s, n_chunks):
     return 100.0 * overhead_s / max(stream_wall_s, 1e-9)
 
 
-def test_fleet_streaming_campaign(benchmark, tmp_path):
+def test_fleet_streaming_campaign(benchmark, tmp_path, monkeypatch):
     engine = ExecutionEngine(jobs=1,
                              cache=ResultCache(str(tmp_path / "runs")))
 
@@ -216,11 +217,16 @@ def test_fleet_streaming_campaign(benchmark, tmp_path):
 
     # Trace generation (the exact scalar RNG stream, kept for
     # bit-equality with the scalar generators) is the streaming
-    # pipeline's floor; report the dispatch-only rate too.
+    # pipeline's floor; report the dispatch-only rate too, timed over
+    # columns built before the timer starts.
     t0 = time.perf_counter()
-    trace_columns(TRACE)
+    columns = trace_columns(TRACE)
     gen_wall = time.perf_counter() - t0
-    dispatch_wall = max(headline["stream_wall_s"] - gen_wall, 1e-9)
+    with monkeypatch.context() as patch:
+        patch.setattr(dispatcher, "trace_columns", lambda spec: columns)
+        t0 = time.perf_counter()
+        dispatch_stream(FLEET, TRACE, policy="round_robin", engine=engine)
+        dispatch_wall = time.perf_counter() - t0
     report["throughput"]["trace_generation_s"] = round(gen_wall, 3)
     report["throughput"]["round_robin_dispatch_only_req_per_s"] = round(
         report["campaign"]["requests"] / dispatch_wall)

@@ -26,8 +26,10 @@ bare number (``9``), a ``figN`` id, or a named experiment (``table1``,
 ``chrome://tracing`` or Perfetto) merging scheduler/runtime spans,
 per-invocation decision records, and the simulated power timeline -
 one trace *process* per strategy.  ``--metrics-out`` writes the
-strategies' metric registries as one JSON snapshot.  Both are
-schema-validated formats (``python -m repro.obs.validate FILE``).
+strategies' metric registries as one JSON snapshot (with ``figure`` or
+``all``: the engine's counters - specs executed, cache hits, cache
+bytes read and written).  Both are schema-validated formats
+(``python -m repro.obs.validate FILE``).
 """
 
 from __future__ import annotations
@@ -277,7 +279,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(spans + decisions + power timeline) to PATH")
     parser.add_argument("--metrics-out", default=None, metavar="PATH",
                         help="with --run: write the metrics registry "
-                             "snapshot to PATH as JSON")
+                             "snapshot to PATH as JSON; with --figure or "
+                             "--all: write the engine's counters (specs "
+                             "executed, cache hits and bytes)")
     parser.add_argument("--trace-csv", default=None, metavar="PATH",
                         help="with --run and a single strategy: write the "
                              "power timeline of the run to PATH as CSV")
@@ -316,9 +320,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "--trace/--metrics-out/--trace-csv require --run")
             return _run_multiprogram(args, engine)
 
-        if args.trace or args.metrics_out or args.fault_level:
-            raise HarnessError(
-                "--trace/--metrics-out/--fault-level require --run")
+        if args.trace or args.fault_level:
+            raise HarnessError("--trace/--fault-level require --run")
 
         if args.list:
             for name in REGENERATORS:
@@ -331,6 +334,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             names = [experiment_id(args.figure if args.figure is not None
                                    else args.experiment)]
+        if args.metrics_out:
+            # Every engine batch of the run (cache hits, executed specs,
+            # cache bytes) counts on one observer.
+            engine.observer = Observer()
 
         for name in names:
             started = time.perf_counter()
@@ -342,6 +349,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             elapsed = time.perf_counter() - started
             print(result.render())
             print(f"\n[{name} regenerated in {elapsed:.1f}s]\n")
+        if args.metrics_out:
+            _write_merged_metrics(
+                args.metrics_out, {"engine": engine.observer},
+                {"experiments": names, "jobs": args.jobs,
+                 "seed": args.seed})
+            print(f"[wrote metrics snapshot to {args.metrics_out}]")
     return 0
 
 

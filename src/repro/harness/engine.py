@@ -118,7 +118,13 @@ from repro.workloads.registry import workload_by_abbrev
 #:
 #: v11: a cached ``FleetCellProfile`` holds its invocation count and
 #: its fingerprint line, not the invocation and decision records.
-CACHE_SCHEMA_VERSION = 11
+#:
+#: v12: a ``microbench-timeline`` entry holds the figure's
+#: :class:`~repro.harness.figures.TimelineSummary` (its resampled
+#: series and statistics), not the ``PowerTrace``, and its spec carries
+#: a ``points`` param; the ``classification`` kind joined the dispatch
+#: table.
+CACHE_SCHEMA_VERSION = 12
 
 # -- task kinds -----------------------------------------------------------------
 
@@ -130,7 +136,9 @@ KIND_CHAOS_CELL = "chaos-cell"
 KIND_CHAOS_BASELINE = "chaos-baseline"
 #: One characterization alpha sweep (-> List[SweepPoint]).
 KIND_CHAR_SWEEP = "char-sweep"
-#: One traced micro-benchmark timeline (-> PowerTrace).
+#: One traced micro-benchmark timeline, reduced to what a figure plots:
+#: ``points`` resampled package-power points plus the trace statistics
+#: Figs. 2-4 print (-> TimelineSummary).
 KIND_MICROBENCH_TIMELINE = "microbench-timeline"
 #: One multiprogram co-scheduling run: N tenant streams on one SoC
 #: under a GPU lease arbiter (-> MultiprogramResult).
@@ -140,14 +148,19 @@ KIND_MULTIPROGRAM = "multiprogram"
 #: dispatcher fans these out; identical (platform, workload, seed)
 #: cells dedupe across thousands of nodes.
 KIND_FLEET_CELL = "fleet-cell"
+#: One workload's Table 1 row data: the online classification of one
+#: profiling round on the desktop, and its invocation count
+#: (-> (WorkloadCategory, num_invocations)).
+KIND_CLASSIFICATION = "classification"
 
 _ALL_KINDS = (KIND_APPLICATION, KIND_CHAOS_CELL, KIND_CHAOS_BASELINE,
               KIND_CHAR_SWEEP, KIND_MICROBENCH_TIMELINE, KIND_MULTIPROGRAM,
-              KIND_FLEET_CELL)
+              KIND_FLEET_CELL, KIND_CLASSIFICATION)
 
 #: Kinds whose worker rebuilds ``RunSpec.workload`` from the registry.
 _REGISTRY_WORKLOAD_KINDS = (KIND_APPLICATION, KIND_CHAOS_CELL,
-                            KIND_CHAOS_BASELINE, KIND_FLEET_CELL)
+                            KIND_CHAOS_BASELINE, KIND_FLEET_CELL,
+                            KIND_CLASSIFICATION)
 
 _SCHEDULER_KINDS = ("cpu", "gpu", "perf", "static", "eas", "race")
 _STRATEGY_NAMES = {"cpu": "CPU", "gpu": "GPU", "perf": "PERF", "eas": "EAS",
@@ -301,8 +314,8 @@ class RunSpec:
     ``workload`` is a registry abbreviation for application/chaos
     kinds and a category short code for characterization kinds;
     ``params`` carries kind-specific numeric knobs (e.g. the
-    micro-benchmark timeline's alpha and repetition count) as a
-    canonical tuple of pairs.
+    micro-benchmark timeline's alpha, repetition count and plotted
+    points) as a canonical tuple of pairs.
     """
 
     platform: PlatformSpec
@@ -343,6 +356,12 @@ class RunSpec:
             problem = sweep_step_problem(self.sweep_step)
             if problem is not None:
                 raise HarnessError(f"char-sweep spec: {problem}")
+        if self.kind == KIND_MICROBENCH_TIMELINE:
+            points = self.param("points")
+            if not (points > 0 and float(points).is_integer()):
+                raise HarnessError(
+                    f"microbench-timeline spec needs a positive integer "
+                    f"points param, got {points!r}")
         if self.tenancy is not None and not isinstance(self.tenancy,
                                                        TenancySpec):
             raise HarnessError(
@@ -407,8 +426,9 @@ class RunResult:
     """One executed (or cache-recalled) :class:`RunSpec`."""
 
     key: str
-    #: ApplicationRun | ChaosCell | (time_s, energy_j) | List[SweepPoint]
-    #: | PowerTrace, by spec kind.
+    #: By spec kind: ApplicationRun | ChaosCell | (time_s, energy_j) |
+    #: List[SweepPoint] | TimelineSummary | MultiprogramResult |
+    #: FleetCellProfile | (WorkloadCategory, num_invocations).
     payload: Any
     #: Worker-side observer, when the spec asked for one.  Its sim
     #: clock is unbound (clocks do not cross process boundaries).
@@ -507,17 +527,28 @@ def _run_char_sweep_spec(spec: RunSpec, observer: Optional[Observer]) -> Any:
 def _run_microbench_timeline_spec(spec: RunSpec,
                                   observer: Optional[Observer]) -> Any:
     from repro.harness.figures import (
+        TimelineSummary,
         _items_for_duration,
         _run_microbench_partitioned,
     )
 
     n_items = _items_for_duration(spec.platform, spec.workload,
                                   spec.param("cpu_seconds", 1.0))
-    return _run_microbench_partitioned(
+    trace = _run_microbench_partitioned(
         spec.platform, spec.workload,
         alpha=spec.param("alpha"), n_items=n_items,
         repetitions=int(spec.param("repetitions", 1)),
         gap_s=spec.param("gap_s", 0.05))
+    return TimelineSummary.of(trace, points=int(spec.param("points")))
+
+
+def _run_classification_spec(spec: RunSpec,
+                             observer: Optional[Observer]) -> Any:
+    from repro.harness.figures import _measure_classification
+
+    workload = workload_by_abbrev(spec.workload)
+    return (_measure_classification(spec.platform, workload),
+            workload.num_invocations)
 
 
 def _run_multiprogram_spec(spec: RunSpec,
@@ -553,6 +584,7 @@ _DISPATCH = {
     KIND_MICROBENCH_TIMELINE: _run_microbench_timeline_spec,
     KIND_MULTIPROGRAM: _run_multiprogram_spec,
     KIND_FLEET_CELL: _run_fleet_cell_spec,
+    KIND_CLASSIFICATION: _run_classification_spec,
 }
 
 
@@ -666,6 +698,8 @@ class ResultCache:
     An eviction is never silent: it bumps the
     ``cache.corrupt_evictions`` counter on the attached observer and
     emits a one-line :class:`RuntimeWarning` naming the evicted key.
+    Hits and writes count their entry sizes on the same observer
+    (``cache.bytes_read``, ``cache.bytes_written``).
     The schema version lives in the cache *key* (see
     :meth:`RunSpec.canonical`), so version bumps miss cleanly.
     """
@@ -714,6 +748,8 @@ class ResultCache:
                 stacklevel=2)
             return None
         self.hits += 1
+        if self.observer is not None:
+            self.observer.inc("cache.bytes_read", len(blob))
         return result
 
     def put(self, key: str, result: RunResult) -> None:
@@ -733,6 +769,8 @@ class ResultCache:
                 pass
             raise
         self.writes += 1
+        if self.observer is not None:
+            self.observer.inc("cache.bytes_written", len(blob))
 
     @staticmethod
     def _decode(blob: bytes) -> Optional[RunResult]:
@@ -763,23 +801,31 @@ class ExecutionEngine:
     path); ``jobs>1`` fans uncached specs out to a process pool whose
     workers are pre-seeded with every needed platform
     characterization.  Results always return in submission order, and
-    duplicate specs within one batch execute once.
+    duplicate specs within one batch execute once.  A batch reports to
+    the observer ``run_batch`` is handed, else to the engine's own
+    ``observer`` (the CLI's ``--metrics-out`` for figures), if any.
     """
 
     def __init__(self, jobs: int = 1,
-                 cache: Optional[ResultCache] = None) -> None:
+                 cache: Optional[ResultCache] = None,
+                 observer: Optional[Observer] = None) -> None:
         if int(jobs) < 1:
             raise HarnessError("jobs must be >= 1")
         self.jobs = int(jobs)
         self.cache = cache
+        self.observer = observer
 
     def run_batch(self, specs: Sequence[RunSpec],
                   observer: Optional[Observer] = None) -> List[RunResult]:
         specs = list(specs)
+        if observer is None:
+            observer = self.observer
         obs = observer if observer is not None and observer.enabled else None
-        if obs is not None and self.cache is not None:
-            # Corruption evictions during this batch count on the
-            # batch's observer (cache.corrupt_evictions).
+        if self.cache is not None:
+            # Corruption evictions and entry bytes during this batch
+            # count on the batch's observer (cache.* counters), and a
+            # batch without one leaves no earlier batch's observer
+            # attached.
             self.cache.observer = obs
         results: List[Optional[RunResult]] = [None] * len(specs)
         keys = [spec.cache_key() for spec in specs]

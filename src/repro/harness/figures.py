@@ -25,7 +25,7 @@ Index (see DESIGN.md for the full mapping):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,10 +37,15 @@ from repro.core.characterization import (
 )
 from repro.core.classification import ClassificationInputs, OnlineClassifier
 from repro.core.metrics import EDP, ENERGY, EnergyMetric
-from repro.errors import UnknownNameError, closest_names
+from repro.errors import SimulationError, UnknownNameError, closest_names
 from repro.harness.chaos import regenerate_chaos
 from repro.harness.crashchaos import regenerate_crash_chaos
-from repro.harness.engine import KIND_MICROBENCH_TIMELINE, RunSpec, get_default_engine
+from repro.harness.engine import (
+    KIND_CLASSIFICATION,
+    KIND_MICROBENCH_TIMELINE,
+    RunSpec,
+    get_default_engine,
+)
 from repro.harness.report import format_bar_chart, format_series, format_table, heading
 from repro.harness.suite import (
     AlphaSweep,
@@ -153,6 +158,75 @@ def _items_for_duration(spec: PlatformSpec, category_code: str,
     return max(50_000.0 * cpu_seconds / probe.time_s, 1000.0)
 
 
+def _measured(statistic: Callable[..., float], *args) -> Optional[float]:
+    """A trace statistic, or None when the trace has no ticks it covers."""
+    try:
+        return statistic(*args)
+    except SimulationError:
+        return None
+
+
+def _present(value: Optional[float], missing: str) -> float:
+    if value is None:
+        raise SimulationError(missing)
+    return value
+
+
+@dataclass
+class TimelineSummary:
+    """What Figs. 2-4 read from one traced micro-benchmark run.
+
+    The ``microbench-timeline`` worker reduces the run's
+    :class:`~repro.soc.trace.PowerTrace` (thousands of samples) to the
+    resampled series and the few statistics the figures print, all
+    computed by the trace's own methods, so a cached timeline is a few
+    kilobytes and replays bit-identically.  A statistic the trace has no
+    ticks for is None; reading it raises the trace's
+    :class:`~repro.errors.SimulationError`.
+    """
+
+    #: (bin centres, mean package watts): ``points`` bins over the run.
+    series: Tuple[np.ndarray, np.ndarray]
+    gpu_active_w: Optional[float]
+    gpu_idle_w: Optional[float]
+    min_gpu_active_w: Optional[float]
+    #: Mean package power while the GPU idles and the CPU executes
+    #: (the idle gaps between repetitions excluded).
+    cpu_phase_w: Optional[float]
+    gpu_active_intervals: int
+
+    @classmethod
+    def of(cls, trace: PowerTrace, points: int) -> "TimelineSummary":
+        cpu_phase = [s for s in trace.samples
+                     if not s.gpu_active and s.cpu_w > 5.0]
+        cpu_phase_w = None
+        if cpu_phase:
+            cpu_phase_w = (sum(s.package_w * s.dt for s in cpu_phase)
+                           / sum(s.dt for s in cpu_phase))
+        return cls(
+            series=trace.resample(trace.duration / points),
+            gpu_active_w=_measured(trace.average_power_while, True),
+            gpu_idle_w=_measured(trace.average_power_while, False),
+            min_gpu_active_w=_measured(trace.min_power_while_gpu_active),
+            cpu_phase_w=cpu_phase_w,
+            gpu_active_intervals=len(trace.gpu_active_intervals()))
+
+    def average_power_while(self, gpu_active: bool) -> float:
+        """:meth:`PowerTrace.average_power_while`, replayed."""
+        return _present(self.gpu_active_w if gpu_active else self.gpu_idle_w,
+                        "no matching ticks in trace")
+
+    def min_power_while_gpu_active(self) -> float:
+        return _present(self.min_gpu_active_w, "no GPU-active ticks in trace")
+
+    def cpu_phase_power(self) -> float:
+        return _present(self.cpu_phase_w, "no CPU-phase ticks in trace")
+
+
+def _timelines(specs: List[RunSpec]) -> List[TimelineSummary]:
+    return [r.payload for r in get_default_engine().run_batch(specs)]
+
+
 @dataclass
 class TimelineResult:
     """A labelled set of power timelines."""
@@ -196,17 +270,16 @@ def regenerate_figure_2(tick_mode: Optional[str] = None) -> TimelineResult:
     # timelines are independent simulations: one engine batch.
     platforms = ((baytrail_tablet(tick_mode=tick_mode), "Bay Trail tablet"),
                  (haswell_desktop(tick_mode=tick_mode), "Haswell desktop"))
-    results = get_default_engine().run_batch([
+    timelines = _timelines([
         RunSpec(platform=spec, kind=KIND_MICROBENCH_TIMELINE,
                 workload="M-LS",
-                params=(("alpha", 0.9), ("cpu_seconds", 2.0)))
+                params=(("alpha", 0.9), ("cpu_seconds", 2.0),
+                        ("points", 60)))
         for spec, _ in platforms])
-    for (spec, label), result in zip(platforms, results):
-        trace = result.payload
-        interval = trace.duration / 60.0
-        series[label] = trace.resample(interval)
-        co = trace.average_power_while(True)
-        tail = trace.average_power_while(False)
+    for (_, label), timeline in zip(platforms, timelines):
+        series[label] = timeline.series
+        co = timeline.average_power_while(True)
+        tail = timeline.average_power_while(False)
         direction = "drops" if tail < co else "rises"
         notes.append(
             f"{label}: co-execution {co:.2f} W, CPU-only tail {tail:.2f} W "
@@ -224,15 +297,13 @@ def regenerate_figure_3(tick_mode: Optional[str] = None) -> TimelineResult:
     notes: List[str] = []
     averages: Dict[str, float] = {}
     cells = (("C-LL", "compute-bound"), ("M-LL", "memory-bound"))
-    results = get_default_engine().run_batch([
+    timelines = _timelines([
         RunSpec(platform=spec, kind=KIND_MICROBENCH_TIMELINE, workload=code,
-                params=(("alpha", 0.5), ("cpu_seconds", 2.5)))
+                params=(("alpha", 0.5), ("cpu_seconds", 2.5), ("points", 60)))
         for code, _ in cells])
-    for (_, label), result in zip(cells, results):
-        trace = result.payload
-        interval = trace.duration / 60.0
-        series[label] = trace.resample(interval)
-        averages[label] = trace.average_power_while(True)
+    for (_, label), timeline in zip(cells, timelines):
+        series[label] = timeline.series
+        averages[label] = timeline.average_power_while(True)
         notes.append(f"{label}: average co-execution package power "
                      f"{averages[label]:.1f} W")
     notes.append(
@@ -246,29 +317,24 @@ def regenerate_figure_3(tick_mode: Optional[str] = None) -> TimelineResult:
 
 def regenerate_figure_4(tick_mode: Optional[str] = None) -> TimelineResult:
     """Ten short GPU bursts on a memory-bound workload (desktop)."""
-    [result] = get_default_engine().run_batch([
+    [timeline] = _timelines([
         RunSpec(platform=haswell_desktop(tick_mode=tick_mode),
                 kind=KIND_MICROBENCH_TIMELINE, workload="M-LL",
                 params=(("alpha", 0.05), ("cpu_seconds", 0.45),
-                        ("repetitions", 10), ("gap_s", 0.5)))])
-    trace = result.payload
-    interval = trace.duration / 120.0
-    # Steady CPU-phase power: GPU idle, CPU actually executing (the
-    # idle gaps between the ten executions are excluded).
-    cpu_phase = [s for s in trace.samples if not s.gpu_active and s.cpu_w > 5.0]
-    steady = (sum(s.package_w * s.dt for s in cpu_phase)
-              / sum(s.dt for s in cpu_phase))
-    dip = trace.min_power_while_gpu_active()
+                        ("repetitions", 10), ("gap_s", 0.5),
+                        ("points", 120)))])
+    steady = timeline.cpu_phase_power()
+    dip = timeline.min_power_while_gpu_active()
     notes = [
         f"steady CPU-phase package power: {steady:.1f} W (paper: ~60 W)",
         f"minimum package power during GPU bursts: {dip:.1f} W "
         f"(paper: < ~40 W)",
-        f"number of GPU-active intervals: {len(trace.gpu_active_intervals())}",
+        f"number of GPU-active intervals: {timeline.gpu_active_intervals}",
     ]
     return TimelineResult(
         title="Figure 4: desktop package power, 10 short GPU bursts "
               "(memory-bound, alpha=0.05)",
-        series={"desktop": trace.resample(interval)}, notes=notes)
+        series={"desktop": timeline.series}, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +347,6 @@ class CharacterizationFigure:
 
     platform: str
     characterization: PlatformCharacterization
-
-    def curve_samples(self, code: str) -> Tuple[List[float], List[float]]:
-        from repro.core.categories import category_from_codes
-
-        curve = self.characterization.curve_for(category_from_codes(code))
-        return list(curve.sample_alphas), list(curve.sample_powers)
 
     def render(self) -> str:
         parts = [heading(f"Power characterization: {self.platform} "
@@ -361,16 +421,22 @@ def _measure_classification(spec: PlatformSpec,
 
 
 def regenerate_table_1(tick_mode: Optional[str] = None) -> Table1Result:
+    """One engine batch: a ``classification`` spec per workload."""
     spec = haswell_desktop(tick_mode=tick_mode)
+    workloads = suite_workloads(tablet=False)
+    results = get_default_engine().run_batch([
+        RunSpec(platform=spec, kind=KIND_CLASSIFICATION,
+                workload=workload.abbrev)
+        for workload in workloads])
     rows = []
-    for workload in suite_workloads(tablet=False):
-        category = _measure_classification(spec, workload)
+    for workload, result in zip(workloads, results):
+        category, num_invocations = result.payload
         rows.append((
             workload.name,
             workload.abbrev,
             workload.input_desktop,
             workload.input_tablet if workload.tablet_supported else "N/A",
-            workload.num_invocations,
+            num_invocations,
             "R" if workload.regular else "IR",
             category.boundedness.short_code,
             category.cpu_duration.short_code,

@@ -93,15 +93,6 @@ class PowerTrace:
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.samples])
 
-    def package_watts(self) -> np.ndarray:
-        return np.array([s.package_w for s in self.samples])
-
-    def cpu_watts(self) -> np.ndarray:
-        return np.array([s.cpu_w for s in self.samples])
-
-    def gpu_active_mask(self) -> np.ndarray:
-        return np.array([s.gpu_active for s in self.samples], dtype=bool)
-
     def average_power(self, t0: Optional[float] = None,
                       t1: Optional[float] = None) -> float:
         """Time-weighted mean package power over [t0, t1]."""

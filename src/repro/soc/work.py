@@ -206,13 +206,6 @@ class WorkRegion:
     def is_done(self) -> bool:
         return not self.stop_item - self._pos > _DONE_EPS
 
-    def mean_multiplier_remaining(self) -> float:
-        """Average per-item cost multiplier over the unprocessed slice."""
-        if self.is_done:
-            return 1.0
-        return self.profile.mean_multiplier(self._pos / self.n_total,
-                                            self.stop_item / self.n_total)
-
     # -- mutation ------------------------------------------------------------
 
     def consume(self, work_capacity: float) -> float:

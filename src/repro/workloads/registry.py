@@ -73,12 +73,6 @@ def workload_by_abbrev(abbrev: str) -> Workload:
     return cls()
 
 
-def _suites() -> "tuple[List[str], List[str]]":
-    desktop = [w.abbrev for w in all_workloads()]
-    tablet = [w.abbrev for w in all_workloads() if w.tablet_supported]
-    return desktop, tablet
-
-
 #: Abbreviations of the desktop (full) suite, Table 1 order.
 DESKTOP_SUITE: List[str] = [
     "BH", "BFS", "CC", "FD", "MB", "SL", "SP", "BS", "MM", "NB", "RT", "SM",

@@ -74,6 +74,26 @@ class TestTraceAndMetricsFlags:
         out = capsys.readouterr().out
         assert "fault-level=0.5" in out
 
+    def test_figure_metrics_count_the_engine_and_cache(self, tmp_path,
+                                                       capsys):
+        """``figure --metrics-out`` snapshots the engine's counters: a
+        warm rerun executes nothing and reads back what the cold run
+        wrote."""
+        counters = []
+        for run in ("cold", "warm"):
+            metrics = str(tmp_path / f"{run}.json")
+            assert main(["--figure", "4", "--cache-dir", str(tmp_path),
+                         "--metrics-out", metrics]) == 0
+            assert validate_file(metrics) == "metrics"
+            with open(metrics) as fh:
+                counters.append(json.load(fh)["metrics"]["counters"])
+        cold, warm = counters
+        assert cold["engine/engine.executed"] == 1
+        assert warm["engine/engine.executed"] == 0
+        assert warm["engine/engine.cache_hits"] == 1
+        assert warm["engine/cache.bytes_read"] == cold[
+            "engine/cache.bytes_written"]
+
     def test_observability_flags_require_run_mode(self):
         with pytest.raises(HarnessError, match="require --run"):
             main(["--figure", "9", "--trace", "/tmp/nope.json"])

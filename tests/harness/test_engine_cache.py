@@ -177,6 +177,41 @@ class TestIntegrity:
         counters = observer.metrics.snapshot()["counters"]
         assert counters["cache.corrupt_evictions"] == 1.0
 
+    def test_batch_observer_counts_cache_bytes(self, cache):
+        """A batch's observer counts the bytes of the entries it wrote
+        and of the hits it read back."""
+        from repro.obs.observer import Observer
+
+        spec = RunSpec(platform=haswell_desktop(), workload="MB",
+                       scheduler=SchedulerSpec.static(0.5))
+        engine = ExecutionEngine(jobs=1, cache=cache)
+        cold, warm = Observer(), Observer()
+        engine.run_batch([spec], observer=cold)
+        size = os.path.getsize(cache.path_for(spec.cache_key()))
+        engine.run_batch([spec], observer=warm)
+        cold_counters = cold.metrics.snapshot()["counters"]
+        warm_counters = warm.metrics.snapshot()["counters"]
+        assert cold_counters["cache.bytes_written"] == size
+        assert "cache.bytes_read" not in cold_counters
+        assert warm_counters["cache.bytes_read"] == size
+        assert "cache.bytes_written" not in warm_counters
+        engine.run_batch([spec])
+        assert warm.metrics.snapshot()["counters"] == warm_counters
+
+    def test_engine_observer_is_the_default_batch_observer(self, cache):
+        from repro.obs.observer import Observer
+
+        spec = RunSpec(platform=haswell_desktop(), workload="MB",
+                       scheduler=SchedulerSpec.static(0.5))
+        observer = Observer()
+        engine = ExecutionEngine(jobs=1, cache=cache, observer=observer)
+        engine.run_batch([spec])
+        engine.run_batch([spec])
+        counters = observer.metrics.snapshot()["counters"]
+        assert counters["engine.tasks"] == 2
+        assert counters["engine.executed"] == 1
+        assert counters["engine.cache_hits"] == 1
+
     def test_corrupted_entry_recomputed_through_engine(self, cache):
         spec = RunSpec(platform=haswell_desktop(), workload="MB",
                        scheduler=SchedulerSpec.static(0.5))

@@ -111,6 +111,22 @@ class TestFigure2Equivalence:
         assert serial.fingerprint() == pooled.fingerprint()
 
 
+class TestFigure4AndTable1Equivalence:
+    def test_serial_vs_pooled_figure_4(self):
+        serial = figures.regenerate_figure_4()
+        with use_engine(ExecutionEngine(jobs=2)):
+            pooled = figures.regenerate_figure_4()
+        assert serial.fingerprint() == pooled.fingerprint()
+        assert serial.render() == pooled.render()
+
+    def test_serial_vs_pooled_table_1(self):
+        serial = figures.regenerate_table_1()
+        with use_engine(ExecutionEngine(jobs=2)):
+            pooled = figures.regenerate_table_1()
+        assert serial.rows == pooled.rows
+        assert serial.render() == pooled.render()
+
+
 class TestChaosEquivalence:
     @pytest.fixture(scope="class")
     def chaos_kwargs(self):

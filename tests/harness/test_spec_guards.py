@@ -13,13 +13,15 @@ import pytest
 
 from repro.core.metrics import EDP, EnergyMetric
 from repro.core.scheduler import SchedulerConfig
-from repro.errors import HarnessError
+from repro.errors import HarnessError, UnknownNameError
 from repro.harness import chaos, engine, suite
 from repro.harness.engine import (
     KIND_APPLICATION,
     KIND_CHAOS_BASELINE,
     KIND_CHAOS_CELL,
+    KIND_CLASSIFICATION,
     KIND_FLEET_CELL,
+    KIND_MICROBENCH_TIMELINE,
     RunSpec,
     SchedulerSpec,
 )
@@ -98,6 +100,24 @@ def test_registry_kinds_reject_unknown_workloads(desktop):
         with pytest.raises(HarnessError, match="XYZ"):
             RunSpec(platform=desktop, kind=kind,
                     workload="XYZ", scheduler=SchedulerSpec.cpu())
+
+
+def test_classification_spec_rejects_unknown_workload(desktop):
+    with pytest.raises(UnknownNameError, match="XYZ"):
+        RunSpec(platform=desktop, kind=KIND_CLASSIFICATION, workload="XYZ")
+
+
+@pytest.mark.parametrize("points", [None, 0, -60, 2.5, float("nan"),
+                                    float("inf")])
+def test_timeline_spec_needs_positive_integer_points(desktop, points):
+    """A timeline spec names how many points its figure plots; without
+    them the worker would have no resampling interval."""
+    params = (("alpha", 0.5),)
+    if points is not None:
+        params += (("points", points),)
+    with pytest.raises(HarnessError, match="points"):
+        RunSpec(platform=desktop, kind=KIND_MICROBENCH_TIMELINE,
+                workload="M-LL", params=params)
 
 
 @pytest.mark.parametrize("level", [float("nan"), -0.5, 1.5, float("inf")])
