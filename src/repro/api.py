@@ -92,8 +92,6 @@ from repro.harness.engine import (
     RunResult,
     RunSpec,
     SchedulerSpec,
-    SpecGang,
-    execute_gang,
     get_default_engine,
     set_default_engine,
     use_engine,
@@ -175,7 +173,6 @@ from repro.soc.spec import (
     baytrail_tablet,
     haswell_desktop,
 )
-from repro.soc.vector import VectorCore, model_identity, use_vector_core
 from repro.workloads.base import InvocationSpec, Workload
 from repro.workloads.registry import all_workloads, workload_by_abbrev
 
@@ -214,9 +211,7 @@ __all__ = [
     # execution engine (see docs/PARALLELISM.md)
     "ExecutionEngine", "RunSpec", "RunResult", "SchedulerSpec",
     "ResultCache", "get_default_engine", "set_default_engine", "use_engine",
-    "SpecGang", "execute_gang",
-    # vectorized-core sharing & differential testing (docs/PERFORMANCE.md)
-    "VectorCore", "model_identity", "use_vector_core",
+    # differential testing (docs/PERFORMANCE.md)
     "DiffCase", "DiffReport", "run_case", "diff_case", "grid_cases",
     "compare_outcomes",
     # observability

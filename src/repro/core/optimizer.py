@@ -11,7 +11,7 @@ confirms the same holds here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -122,39 +122,3 @@ class AlphaOptimizer:
             raise SchedulingError("no feasible alpha: both devices stalled")
         best = min(finite, key=lambda e: e.predicted_time_s)
         return best.alpha, best.objective, False
-
-
-def best_alpha_for(metric: EnergyMetric, power_fn: Callable[[float], float],
-                   time_fn: Callable[[float], float],
-                   step: float = DEFAULT_ALPHA_STEP) -> float:
-    """Functional helper: minimize metric(power_fn(a), time_fn(a)) on the grid.
-
-    Used by the Oracle baseline, which minimizes over *measured* values
-    rather than model predictions.  A
-    :class:`~repro.core.metrics.ConstrainedMetric` restricts the
-    search to its feasible set, falling back to the min-time point
-    when no grid point meets the deadline (same contract as
-    :meth:`AlphaOptimizer.best_alpha_constrained`).
-    """
-    deadline = (metric.deadline_s
-                if isinstance(metric, ConstrainedMetric) else None)
-    best_a = 0.0
-    best_obj = float("inf")
-    fallback_a = 0.0
-    fallback_t = float("inf")
-    for alpha in alpha_grid(step):
-        t = time_fn(alpha)
-        if t < fallback_t:
-            fallback_t = t
-            fallback_a = alpha
-        if deadline is not None and t > deadline:
-            continue
-        obj = metric.value(power_fn(alpha), t)
-        if obj < best_obj:
-            best_obj = obj
-            best_a = alpha
-    if not np.isfinite(best_obj):
-        if deadline is not None and np.isfinite(fallback_t):
-            return fallback_a
-        raise SchedulingError("objective is infinite across the whole grid")
-    return best_a

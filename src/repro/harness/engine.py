@@ -77,7 +77,6 @@ from repro.runtime.tenancy import TenancySpec
 from repro.soc.faults import FaultConfig, fault_level_problem
 from repro.soc.simulator import IntegratedProcessor
 from repro.soc.spec import PlatformSpec
-from repro.soc.vector import VectorCore, model_identity, use_vector_core
 from repro.workloads.base import Workload
 from repro.workloads.registry import workload_by_abbrev
 
@@ -91,8 +90,8 @@ from repro.workloads.registry import workload_by_abbrev
 #: ``fleet-cell`` kind joined the dispatch table.
 #:
 #: v5: the ``bounded`` tick mode landed (its tolerance field joined
-#: the canonical platform dict) and workers execute specs in
-#: model-identity gangs sharing a :class:`~repro.soc.vector.VectorCore`.
+#: the canonical platform dict) and workers shared fast-mode model
+#: memos across runs of one platform.
 #:
 #: v6: the ``fleet-dispatch`` kind joined the dispatch table and
 #: ``RunSpec`` grew fleet, trace, policy and dispatch-mode fields (all
@@ -608,68 +607,6 @@ def execute_spec(spec: RunSpec) -> RunResult:
     return RunResult(key=spec.cache_key(), payload=payload, observer=observer)
 
 
-@dataclass(frozen=True)
-class SpecGang:
-    """An ordered batch of specs that may share one vectorized core.
-
-    A gang is the engine's unit of model-memo sharing: every member
-    resolves to the same :func:`~repro.soc.vector.model_identity`
-    (platform modulo tick mode and tolerance), so the rate/power memos
-    one member fills are bit-valid for every other.  Specs of *mixed*
-    platforms must not be ganged - their model inputs differ - and
-    :meth:`of` refuses to build one.
-
-    Construct only via :meth:`of`; the constructor performs no
-    validation (it must stay cheap for pickling into pool workers).
-    """
-
-    specs: Tuple[RunSpec, ...]
-
-    @classmethod
-    def of(cls, specs: Sequence[RunSpec]) -> "SpecGang":
-        specs = tuple(specs)
-        if not specs:
-            raise HarnessError("a SpecGang needs at least one spec")
-        identities = {model_identity(spec.platform) for spec in specs}
-        if len(identities) > 1:
-            names = sorted({spec.platform.name for spec in specs})
-            raise HarnessError(
-                "cannot gang specs with mixed platform model identities: "
-                + ", ".join(names))
-        return cls(specs=specs)
-
-    def __len__(self) -> int:
-        return len(self.specs)
-
-
-def execute_gang(gang: SpecGang) -> List[RunResult]:
-    """Execute a gang's specs in order under one shared vectorized core.
-
-    The pool submits one of these per worker chunk; the serial path
-    calls it directly, so ``jobs=1`` and ``jobs>1`` run identical code.
-    Sharing never changes results: the core's memos hold bit-stable
-    model evaluations only (see :mod:`repro.soc.vector`), so each
-    member's payload is byte-identical to an un-ganged run - the
-    engine-equivalence tests pin that down.
-    """
-    core = VectorCore()
-    with use_vector_core(core):
-        return [execute_spec(spec) for spec in gang.specs]
-
-
-def _gang_positions(specs: Sequence[RunSpec]) -> List[List[int]]:
-    """Group spec indices by platform model identity.
-
-    Order-preserving twice over: gangs appear in first-seen order and
-    each gang lists its member indices in submission order, so results
-    can be placed back positionally.
-    """
-    groups: Dict[PlatformSpec, List[int]] = {}
-    for i, spec in enumerate(specs):
-        groups.setdefault(model_identity(spec.platform), []).append(i)
-    return list(groups.values())
-
-
 #: What a pool worker is seeded with: a platform and its default-grid fit.
 CharacterizationSeed = Tuple[PlatformSpec, PlatformCharacterization]
 
@@ -868,37 +805,19 @@ class ExecutionEngine:
     # -- internals ---------------------------------------------------------------
 
     def _run_serial(self, specs: List[RunSpec]) -> List[RunResult]:
-        executed: List[Optional[RunResult]] = [None] * len(specs)
-        for positions in _gang_positions(specs):
-            gang = SpecGang.of([specs[i] for i in positions])
-            for i, result in zip(positions, execute_gang(gang)):
-                executed[i] = result
-        return executed  # type: ignore[return-value]
+        return [execute_spec(spec) for spec in specs]
 
     def _run_pool(self, specs: List[RunSpec]) -> List[RunResult]:
         payload = self._characterization_payload(specs)
-        # Chunk each model-identity gang into at most ``jobs`` pieces:
-        # one big gang still saturates every worker, while each chunk
-        # keeps enough siblings together to warm a shared core.
-        chunks: List[List[int]] = []
-        for positions in _gang_positions(specs):
-            pieces = min(self.jobs, len(positions))
-            size = -(-len(positions) // pieces)  # ceil division
-            for start in range(0, len(positions), size):
-                chunks.append(positions[start:start + size])
-        workers = min(self.jobs, len(chunks))
-        pool = ProcessPoolExecutor(max_workers=workers,
+        # One task per spec, so an idle worker always takes the next
+        # pending spec and uneven specs spread across the workers.
+        pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(specs)),
                                    initializer=_seed_worker,
                                    initargs=(payload,))
         futures = []
         try:
-            futures = [pool.submit(execute_gang,
-                                   SpecGang.of([specs[i] for i in chunk]))
-                       for chunk in chunks]
-            results: List[Optional[RunResult]] = [None] * len(specs)
-            for chunk, future in zip(chunks, futures):
-                for i, result in zip(chunk, future.result()):
-                    results[i] = result
+            futures = [pool.submit(execute_spec, spec) for spec in specs]
+            results = [future.result() for future in futures]
         except BaseException:
             # KeyboardInterrupt / SIGTERM mid-batch: without this, the
             # plain `with` block would wait for every queued spec and
@@ -907,7 +826,7 @@ class ExecutionEngine:
             self._teardown_pool(pool, futures)
             raise
         pool.shutdown(wait=True)
-        return results  # type: ignore[return-value]
+        return results
 
     @staticmethod
     def _teardown_pool(pool: ProcessPoolExecutor, futures: List) -> None:
@@ -951,7 +870,7 @@ class ExecutionEngine:
                          and spec.scheduler is not None
                          and spec.scheduler.kind == "eas"))
             if needs:
-                platforms[model_identity(spec.platform)] = None
+                platforms[spec.platform.with_tick_mode("exact")] = None
         from repro.harness.suite import get_characterization
 
         return [(platform, get_characterization(platform, engine=self))

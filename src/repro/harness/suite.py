@@ -43,7 +43,6 @@ from repro.harness.engine import (
 )
 from repro.harness.experiment import ApplicationRun
 from repro.soc.spec import PlatformSpec
-from repro.soc.vector import model_identity
 from repro.workloads.base import Workload
 from repro.workloads.microbench import standard_microbenches
 
@@ -51,7 +50,8 @@ from repro.workloads.microbench import standard_microbenches
 ORACLE_ALPHA_STEP = 0.1
 
 #: The in-process characterization memo, keyed on what the fits depend
-#: on: the platform's model identity and the sweep grid.
+#: on: the platform in exact mode (the clock mode changes how the
+#: simulator steps, not what the models compute) and the sweep grid.
 _characterization_cache: Dict[Tuple[PlatformSpec, float], PlatformCharacterization] = {}
 
 
@@ -62,7 +62,7 @@ def remember_characterization(spec: PlatformSpec,
     """The memo's single writer; the first fit stored for a key wins
     (engine-seeded pool workers and the service's stored fits use it)."""
     return _characterization_cache.setdefault(
-        (model_identity(spec), sweep_step), characterization)
+        (spec.with_tick_mode("exact"), sweep_step), characterization)
 
 
 def get_characterization(spec: PlatformSpec,
@@ -71,13 +71,15 @@ def get_characterization(spec: PlatformSpec,
                          ) -> PlatformCharacterization:
     """The platform's one-time power characterization.
 
-    Memoized per process on ``(model_identity(spec), sweep_step)``, so
-    a same-name variant or a different grid gets its own fits.  A miss
-    sweeps through ``engine`` - or the run's default engine - which
-    brings ``--jobs`` and the ``runs/`` result cache to the sweeps
-    exactly as to every other spec (see docs/PARALLELISM.md).
+    Memoized per process on the platform in exact mode and
+    ``sweep_step``, so a same-name variant or a different grid gets
+    its own fits.  A miss sweeps through ``engine`` - or the run's
+    default engine - which brings ``--jobs`` and the ``runs/`` result
+    cache to the sweeps exactly as to every other spec (see
+    docs/PARALLELISM.md).
     """
-    cached = _characterization_cache.get((model_identity(spec), sweep_step))
+    cached = _characterization_cache.get(
+        (spec.with_tick_mode("exact"), sweep_step))
     if cached is not None:
         return cached
     characterizer = PowerCharacterizer(

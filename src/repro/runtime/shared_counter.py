@@ -53,12 +53,3 @@ class SharedWorkCounter:
             stop = min(self._n, start + chunk)
             self._next = stop
             return start, stop
-
-    def grab_all(self) -> Optional[Tuple[int, int]]:
-        """Claim everything that remains."""
-        with self._lock:
-            if self._next >= self._n:
-                return None
-            start = self._next
-            self._next = self._n
-            return start, self._n

@@ -59,7 +59,6 @@ from repro.soc.power import (
 )
 from repro.soc.spec import PlatformSpec
 from repro.soc.trace import SPAN_DECIMATION_TICKS, PowerTrace, TraceSample
-from repro.soc.vector import active_vector_core
 from repro.soc.work import WorkRegion
 
 #: Smallest tick the event-alignment logic will produce.
@@ -191,14 +190,8 @@ class IntegratedProcessor:
         # same (frequency, configuration) model inputs recur endlessly.
         # Values are cached result objects - bit-identical to fresh
         # evaluation - so fast-vs-exact equivalence is unaffected.
-        # Inside an engine gang (see repro.soc.vector) the memos are
-        # shared across every compatible sibling run.
-        core = active_vector_core()
-        if core is not None and self._fast:
-            self._rates_memo, self._power_memo = core.adopt(spec)
-        else:
-            self._rates_memo = {}
-            self._power_memo = {}
+        self._rates_memo = {}
+        self._power_memo = {}
         # The power model with the platform bound (fast mode:
         # memoized); _run_phase_inner binds the rate model per phase.
         self._power = partial(package_power, spec)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -195,12 +195,3 @@ def write_csv(trace: PowerTrace, path: str) -> int:
                      f"{s.cpu_freq_hz / 1e9:.4f},{s.gpu_freq_hz / 1e9:.4f},"
                      f"{int(s.gpu_active)}\n")
     return len(trace.samples)
-
-
-def merge_traces(traces: Sequence[PowerTrace]) -> PowerTrace:
-    """Concatenate traces from sequential runs into one timeline."""
-    merged = PowerTrace()
-    for trace in traces:
-        merged.samples.extend(trace.samples)
-    merged.samples.sort(key=lambda s: s.t)
-    return merged

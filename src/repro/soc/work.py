@@ -94,12 +94,6 @@ class CostProfile:
             return u1 - u0
         return self._cum_at(u1) - self._cum_at(u0)
 
-    def mean_multiplier(self, u0: float, u1: float) -> float:
-        """Average multiplier over [u0, u1]."""
-        if u1 <= u0:
-            return 1.0
-        return self.integral(u0, u1) / (u1 - u0)
-
     def _cum_at(self, u: float) -> float:
         """Linearly-interpolated cumulative integral at ``u``."""
         # min(max(u, 0.0), 1.0) without the calls: same comparisons,

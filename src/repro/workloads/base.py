@@ -30,21 +30,6 @@ class InvocationSpec:
             raise WorkloadError("invocation must have positive items")
 
 
-@dataclass(frozen=True)
-class Table1Row:
-    """The workload's row in the paper's Table 1 (expected values)."""
-
-    name: str
-    abbrev: str
-    input_desktop: str
-    input_tablet: str
-    num_invocations: int
-    regular: bool
-    compute_bound: bool
-    cpu_short: bool
-    gpu_short: bool
-
-
 class Workload(abc.ABC):
     """One benchmark application with a single data-parallel kernel."""
 
@@ -97,21 +82,6 @@ class Workload(abc.ABC):
     def make_executable_kernel(self) -> Optional[Kernel]:
         """A kernel with a real body at reduced scale, when available."""
         return None
-
-    # -- reporting ------------------------------------------------------------------
-
-    def table1_row(self) -> Table1Row:
-        return Table1Row(
-            name=self.name,
-            abbrev=self.abbrev,
-            input_desktop=self.input_desktop,
-            input_tablet=self.input_tablet if self.tablet_supported else "N/A",
-            num_invocations=self.num_invocations,
-            regular=self.regular,
-            compute_bound=self.expected_compute_bound,
-            cpu_short=self.expected_cpu_short,
-            gpu_short=self.expected_gpu_short,
-        )
 
     def __repr__(self) -> str:
         return f"<Workload {self.abbrev} ({self.name})>"

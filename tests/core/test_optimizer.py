@@ -8,7 +8,6 @@ from repro.core.metrics import EDP, ENERGY, ConstrainedMetric
 from repro.core.optimizer import (
     AlphaOptimizer,
     alpha_grid,
-    best_alpha_for,
 )
 from repro.core.power_curve import PowerCurve
 from repro.core.time_model import ExecutionTimeModel
@@ -196,26 +195,3 @@ class TestConstrainedSearch:
             ConstrainedMetric.constrain(EDP, deadline), 0.1)
         alpha, _ = constrained.best_alpha(curve, model)
         assert model.total_time(alpha) <= deadline
-
-    def test_best_alpha_for_respects_deadline(self):
-        # Measured landscape: EDP minimum at 0.7, but 0.7 misses the
-        # deadline; the fastest point is 0.2.
-        times = {round(a, 1): 10.0 + abs(a - 0.2) * 10
-                 for a in alpha_grid(0.1)}
-        metric = ConstrainedMetric.constrain(EDP, 12.0)
-        alpha = best_alpha_for(metric, power_fn=lambda a: 40.0 - 30.0 * a,
-                               time_fn=lambda a: times[round(a, 1)])
-        assert times[round(alpha, 1)] <= 12.0
-        tight = ConstrainedMetric.constrain(EDP, 5.0)
-        alpha = best_alpha_for(tight, power_fn=lambda a: 40.0,
-                               time_fn=lambda a: times[round(a, 1)])
-        assert alpha == pytest.approx(0.2)  # min-T fallback
-
-
-class TestFunctionalHelper:
-    def test_minimizes_measured_values(self):
-        # Synthetic measured landscape with a known minimum at 0.7.
-        times = {round(a, 1): 10.0 + abs(a - 0.7) * 10 for a in alpha_grid(0.1)}
-        alpha = best_alpha_for(EDP, power_fn=lambda a: 40.0,
-                               time_fn=lambda a: times[round(a, 1)])
-        assert alpha == pytest.approx(0.7)

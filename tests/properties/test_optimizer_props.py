@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.metrics import ED2, EDP, ENERGY, ConstrainedMetric
-from repro.core.optimizer import AlphaOptimizer, alpha_grid, best_alpha_for
+from repro.core.optimizer import AlphaOptimizer, alpha_grid
 from repro.core.power_curve import fit_power_curve
 from repro.core.time_model import ExecutionTimeModel
 
@@ -143,29 +143,3 @@ class TestConstrainedSearchProperties:
                            for a in alpha_grid(0.1))
         if any_feasible:
             assert model.total_time(alpha_star) <= deadline
-
-
-class TestBestAlphaForHelper:
-    @SETTINGS
-    @given(metric=metrics,
-           powers=st.lists(st.floats(min_value=0.5, max_value=200.0),
-                           min_size=11, max_size=11),
-           times=st.lists(st.floats(min_value=1e-3, max_value=1e3),
-                          min_size=11, max_size=11))
-    def test_measured_argmin_on_grid(self, metric, powers, times):
-        grid = alpha_grid(0.1)
-        power_by_key = {round(a * 1000): p for a, p in zip(grid, powers)}
-        time_by_key = {round(a * 1000): t for a, t in zip(grid, times)}
-
-        def power_fn(alpha):
-            return power_by_key[round(alpha * 1000)]
-
-        def time_fn(alpha):
-            return time_by_key[round(alpha * 1000)]
-
-        alpha_star = best_alpha_for(metric, power_fn, time_fn, step=0.1)
-        assert round(alpha_star * 1000) in GRID_KEYS
-        obj_star = metric.value(power_fn(alpha_star), time_fn(alpha_star))
-        for alpha in grid:
-            assert obj_star <= metric.value(
-                power_fn(alpha), time_fn(alpha)) * (1.0 + 1e-12)

@@ -23,12 +23,6 @@ class TestSequential:
         assert counter.dispatched == 30
         assert counter.total == 100
 
-    def test_grab_all(self):
-        counter = SharedWorkCounter(50)
-        counter.grab(10)
-        assert counter.grab_all() == (10, 50)
-        assert counter.grab_all() is None
-
     def test_zero_items_exhausted_immediately(self):
         counter = SharedWorkCounter(0)
         assert counter.grab(1) is None

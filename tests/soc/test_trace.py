@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.soc.trace import PowerTrace, TraceSample, merge_traces
+from repro.soc.trace import PowerTrace, TraceSample
 
 
 def sample(t, dt, watts, gpu=False):
@@ -72,13 +72,3 @@ class TestAggregation:
     def test_resample_rejects_bad_interval(self, trace):
         with pytest.raises(SimulationError):
             trace.resample(0.0)
-
-
-class TestMerge:
-    def test_merge_sorts_by_time(self):
-        a = PowerTrace()
-        a.append(sample(1.0, 0.1, 5.0))
-        b = PowerTrace()
-        b.append(sample(0.0, 0.1, 3.0))
-        merged = merge_traces([a, b])
-        assert [s.t for s in merged.samples] == [0.0, 1.0]

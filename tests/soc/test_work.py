@@ -20,7 +20,6 @@ def cost(cv=0.0, scale=0.1, tag=1):
 class TestCostProfile:
     def test_uniform_profile_for_regular_kernels(self):
         profile = CostProfile(cost(cv=0.0))
-        assert profile.mean_multiplier(0.0, 1.0) == pytest.approx(1.0)
         assert profile.integral(0.2, 0.7) == pytest.approx(0.5)
 
     def test_irregular_profile_has_unit_mean(self):

@@ -78,9 +78,3 @@ class TestTable1Statistics:
     def test_invocations_all_positive(self):
         for w in all_workloads():
             assert all(i.n_items > 0 for i in w.invocations())
-
-    def test_table1_rows_render(self):
-        for w in all_workloads():
-            row = w.table1_row()
-            assert row.abbrev == w.abbrev
-            assert row.num_invocations == w.num_invocations
