@@ -147,7 +147,6 @@ from repro.obs.validate import validate_file
 from repro.runtime.kernel import Kernel
 from repro.service import (
     AdmissionDecision,
-    AdmissionPolicy,
     DurableStore,
     JobSpec,
     SchedulerService,
@@ -220,7 +219,7 @@ __all__ = [
     "write_chrome_trace", "write_jsonl", "write_metrics", "validate_file",
     # scheduler service (see docs/SERVICE.md)
     "SchedulerService", "JobSpec", "DurableStore",
-    "AdmissionPolicy", "AdmissionDecision",
+    "AdmissionDecision",
     # fleet simulation (see docs/FLEET.md)
     "FleetSpec", "NodeSpec", "PLATFORM_KINDS",
     "TraceSpec", "FleetRequest", "TRACE_KINDS", "trace_columns",

@@ -17,6 +17,13 @@ seeded points during a job campaign, restarting it, and asserting
    canonical result payload per job) equals the fingerprint of an
    uninterrupted reference run of the same campaign.
 
+The daemon leads its own process group and runs every job in a
+forked child, as ``serve`` does.  The SIGKILL hits the daemon's pid
+alone, so a job child it had started is orphaned and may finish and
+write its result while recovery runs - the orphaned-child case of
+docs/SERVICE.md section 2.  Once a cell's invariants are checked, the
+harness SIGKILLs the old process group, so nothing outlives the cell.
+
 Each kill point runs in a fresh store + cache, so points are
 independent and the sweep is deterministic per seed.  The platform
 characterization is computed once per platform and seeded into every
@@ -79,14 +86,23 @@ def _seed_store(db_path: str, char_by_platform: Dict[str, str]) -> None:
 def _daemon_main(db_path: str, cache_dir: str) -> None:
     """Child entry point: serve the queue until idle, then exit.
 
-    Runs inline (in-process execution) so the SIGKILL lands on the
-    process actually computing - the harshest possible interruption.
+    The daemon leads a new process group, which the job children it
+    forks inherit, so the harness can end them all after the cell.
     """
-    service = SchedulerService(db_path, cache_dir, inline=True)
+    os.setpgid(0, 0)
+    service = SchedulerService(db_path, cache_dir)
     try:
-        service.serve_forever(until_idle=True, install_signals=False)
+        service.run_until_idle()
     finally:
         service.close()
+
+
+def _kill_group(pgid: int) -> None:
+    """SIGKILL every process left in a killed daemon's group."""
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
 
 
 @dataclass(frozen=True)
@@ -162,7 +178,7 @@ def _reference_run(platform: str, workloads: Sequence[str],
     db = os.path.join(root, f"ref-{platform}.db")
     cache = os.path.join(root, f"ref-{platform}-cache")
     _seed_store(db, char_by_platform)
-    service = SchedulerService(db, cache, inline=True)
+    service = SchedulerService(db, cache)
     try:
         _submit_all(service,
                     _campaign_specs(platform, workloads, tick_mode))
@@ -189,7 +205,7 @@ def _run_kill_point(platform: str, point: int, delay_s: float,
     cache = os.path.join(root, f"kill-{platform}-{point}-cache")
     _seed_store(db, char_by_platform)
 
-    submitter = SchedulerService(db, cache, inline=True)
+    submitter = SchedulerService(db, cache)
     try:
         job_ids = _submit_all(
             submitter, _campaign_specs(platform, workloads, tick_mode))
@@ -206,7 +222,7 @@ def _run_kill_point(platform: str, point: int, delay_s: float,
     daemon.join()
 
     # Restart: recover orphans, drain the queue, check the invariants.
-    service = SchedulerService(db, cache, inline=True)
+    service = SchedulerService(db, cache)
     try:
         recovered = service.recover()
         service.run_until_idle()
@@ -230,6 +246,7 @@ def _run_kill_point(platform: str, point: int, delay_s: float,
             fingerprint=fingerprint)
     finally:
         service.close()
+        _kill_group(daemon.pid)
 
 
 def run_crash_chaos(platforms: Sequence[str] = DEFAULT_PLATFORMS,

@@ -2,9 +2,9 @@
 
 A Concord ``parallel_for`` site compiles into two artifacts: the CPU
 function executed by worker threads and an OpenCL kernel for the GPU.
-Our :class:`Kernel` mirrors that: an optional pair of *real* Python
-implementations (used for correctness validation and the examples) plus
-the :class:`~repro.soc.cost_model.KernelCostModel` that drives the SoC
+Our :class:`Kernel` mirrors that: an optional *real* Python CPU body
+(used for correctness validation and the examples) plus the
+:class:`~repro.soc.cost_model.KernelCostModel` that drives the SoC
 simulator's timing and power.
 
 The kernel's ``key`` plays the role of the CPU function pointer ``f``
@@ -22,8 +22,6 @@ from repro.soc.cost_model import KernelCostModel
 
 #: Real CPU implementation: body(lo, hi) executes items [lo, hi).
 CpuFn = Callable[[int, int], None]
-#: Real "OpenCL" implementation: body(lo, hi) executes items [lo, hi).
-GpuFn = Callable[[int, int], None]
 
 
 @dataclass
@@ -33,7 +31,6 @@ class Kernel:
     name: str
     cost: KernelCostModel
     cpu_fn: Optional[CpuFn] = None
-    gpu_fn: Optional[GpuFn] = None
     #: Table-G key; defaults to the kernel name.
     key: Optional[str] = field(default=None)
 
@@ -49,19 +46,6 @@ class Kernel:
             raise RuntimeLayerError(f"kernel {self.name} has no CPU body")
         self.cpu_fn(lo, hi)
 
-    def execute_gpu(self, lo: int, hi: int) -> None:
-        """Run the real GPU body over items [lo, hi).
-
-        Falls back to the CPU body when no distinct GPU body exists
-        (Concord generates both from the same loop body).
-        """
-        if self.gpu_fn is not None:
-            self.gpu_fn(lo, hi)
-        elif self.cpu_fn is not None:
-            self.cpu_fn(lo, hi)
-        else:
-            raise RuntimeLayerError(f"kernel {self.name} has no executable body")
-
     @property
     def has_real_body(self) -> bool:
-        return self.cpu_fn is not None or self.gpu_fn is not None
+        return self.cpu_fn is not None

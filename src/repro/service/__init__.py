@@ -23,7 +23,7 @@ and changes no fingerprints; ``repro.harness.crashchaos`` proves it.
 """
 
 from repro.service.daemon import SchedulerService
-from repro.service.jobs import AdmissionDecision, AdmissionPolicy, JobSpec
+from repro.service.jobs import AdmissionDecision, JobSpec
 from repro.service.store import (
     JOB_STATES,
     STORE_SCHEMA_VERSION,
@@ -33,7 +33,6 @@ from repro.service.store import (
 
 __all__ = [
     "AdmissionDecision",
-    "AdmissionPolicy",
     "DurableStore",
     "JOB_STATES",
     "JobSpec",

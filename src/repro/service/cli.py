@@ -41,7 +41,7 @@ from repro.service.daemon import (
     PID_KEY,
     SchedulerService,
 )
-from repro.service.jobs import AdmissionPolicy, JobSpec
+from repro.service.jobs import JobSpec
 from repro.service.store import DurableStore
 from repro.soc.spec import TICK_MODES
 
@@ -64,15 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(default: alongside the db)")
     serve.add_argument("--until-idle", action="store_true",
                        help="exit once no job is live (batch/CI mode)")
-    serve.add_argument("--inline", action="store_true",
-                       help="execute jobs in-process instead of in "
-                            "watchdog-supervised children")
-    serve.add_argument("--poll", type=float, default=0.02, metavar="S",
-                       help="idle poll interval in seconds")
-    serve.add_argument("--max-depth", type=int, default=256,
-                       help="admission control: max live jobs")
-    serve.add_argument("--tenant-quota", type=int, default=64,
-                       help="admission control: max live jobs per tenant")
     serve.add_argument("--metrics-out", default=None, metavar="PATH",
                        help="write the service metrics snapshot on exit")
 
@@ -136,18 +127,15 @@ def _default_cache_dir(db_path: str, override: Optional[str]) -> str:
 
 
 def _make_service(db: str, cache_dir: Optional[str],
-                  **kwargs) -> SchedulerService:
-    return SchedulerService(db, _default_cache_dir(db, cache_dir), **kwargs)
+                  observer: Optional[Observer] = None) -> SchedulerService:
+    return SchedulerService(db, _default_cache_dir(db, cache_dir),
+                            observer=observer)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     observer = Observer(metadata={"component": "repro.service",
                                   "db": args.db})
-    service = _make_service(
-        args.db, args.cache_dir, observer=observer,
-        admission=AdmissionPolicy(max_depth=args.max_depth,
-                                  tenant_quota=args.tenant_quota),
-        poll_interval_s=args.poll, inline=args.inline)
+    service = _make_service(args.db, args.cache_dir, observer=observer)
     try:
         service.serve_forever(until_idle=args.until_idle)
     finally:

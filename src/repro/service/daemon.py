@@ -46,9 +46,9 @@ from repro.harness.experiment import run_application
 from repro.obs.observer import Observer, resolve
 from repro.service.jobs import (
     AdmissionDecision,
-    AdmissionPolicy,
-    BackoffPolicy,
     JobSpec,
+    admit,
+    backoff_delay_s,
     table_digest,
 )
 from repro.service.store import (
@@ -68,6 +68,8 @@ DRAIN_FLAG = "daemon.drain_requested"
 #: Store meta keys advertising the live daemon.
 PID_KEY = "daemon.pid"
 HEARTBEAT_KEY = "daemon.heartbeat"
+#: Seconds the serve loop sleeps when no job is claimable.
+POLL_INTERVAL_S = 0.02
 
 
 @dataclass
@@ -234,22 +236,11 @@ class SchedulerService:
     """The persistent scheduler service around one durable store."""
 
     def __init__(self, db_path: str, cache_dir: str,
-                 admission: Optional[AdmissionPolicy] = None,
-                 backoff: Optional[BackoffPolicy] = None,
-                 observer: Optional[Observer] = None,
-                 poll_interval_s: float = 0.02,
-                 inline: bool = False) -> None:
+                 observer: Optional[Observer] = None) -> None:
         self.store = DurableStore(db_path)
         self.cache_root = os.path.join(cache_dir, "service-results")
         self.observer = resolve(observer)
         self.cache = ResultCache(self.cache_root, observer=self.observer)
-        self.admission = admission or AdmissionPolicy()
-        self.backoff = backoff or BackoffPolicy()
-        self.poll_interval_s = poll_interval_s
-        #: Execute jobs in-process instead of in a supervised child.
-        #: Faster for tests; per-job timeouts become advisory (nothing
-        #: can SIGKILL the attempt), so ``serve`` defaults to children.
-        self.inline = inline
         self._draining = False
         self._last_heartbeat = 0.0
         self._mp = multiprocessing.get_context(
@@ -276,7 +267,7 @@ class SchedulerService:
             return SubmitResult(None, AdmissionDecision(
                 False, f"invalid job spec: {spec.workload} does not "
                        "build on the 32-bit tablet"))
-        decision = self.admission.admit(
+        decision = admit(
             depth=self.store.queue_depth(),
             tenant_depth=self.store.queue_depth(tenant),
             tenant=tenant)
@@ -328,7 +319,7 @@ class SchedulerService:
                 live = self._live_jobs()
                 if until_idle and live == 0:
                     break
-                time.sleep(self.poll_interval_s)
+                time.sleep(POLL_INTERVAL_S)
         finally:
             self.store.clear_meta(PID_KEY)
             self.store.clear_meta(DRAIN_FLAG)
@@ -419,55 +410,39 @@ class SchedulerService:
         return text
 
     def _execute(self, plan: _Plan, job: JobRow) -> RunResult:
-        """One attempt: run the plan, return the cached result.
+        """One attempt: run the plan in a child, return the cached result.
 
-        Child mode forks a worker whose sole side effect is the atomic
-        cache write; the watchdog SIGKILLs it at the job's timeout.
-        Inline mode runs in-process (tests; timeouts advisory).
+        The forked child's sole side effect is the atomic cache write;
+        the watchdog SIGKILLs it at the job's timeout.  A failing child
+        leaves an error marker that says whether a retry can help.
         """
-        obs = self.observer
         _clear_error_marker(self.cache_root, plan.key)
-        if self.inline:
-            try:
-                if plan.warm:
-                    _child_execute_warm(plan.spec.to_json(), plan.char_json,
-                                        plan.table_rows, self.cache_root,
-                                        plan.key)
-                else:
-                    _child_execute_cold(plan.run_spec, self.cache_root,
-                                        plan.key)
-            except Exception as exc:
-                raise _JobFailure(
-                    f"execution raised: {exc!r}",
-                    retryable=not isinstance(exc, ReproError)) from exc
+        if plan.warm:
+            target, args = _child_execute_warm, (
+                plan.spec.to_json(), plan.char_json, plan.table_rows,
+                self.cache_root, plan.key)
         else:
-            if plan.warm:
-                target, args = _child_execute_warm, (
-                    plan.spec.to_json(), plan.char_json, plan.table_rows,
-                    self.cache_root, plan.key)
-            else:
-                target, args = _child_execute_cold, (
-                    plan.run_spec, self.cache_root, plan.key)
-            child = self._mp.Process(target=target, args=args, daemon=True)
-            child.start()
-            deadline = time.monotonic() + max(0.1, job.timeout_s)
-            while child.is_alive() and time.monotonic() < deadline:
-                child.join(timeout=0.05)
-            if child.is_alive():
-                child.kill()
-                child.join()
-                obs.inc("service.timeouts")
-                raise _JobFailure(
-                    f"watchdog: attempt exceeded timeout_s={job.timeout_s}; "
-                    "child killed")
-            if child.exitcode != 0:
-                marker = _read_error_marker(self.cache_root, plan.key)
-                if marker is not None:
-                    kind, _, detail = marker.partition("|")
-                    raise _JobFailure(detail or marker,
-                                      retryable=kind != "PERMANENT")
-                raise _JobFailure(
-                    f"child exited with code {child.exitcode}")
+            target, args = _child_execute_cold, (
+                plan.run_spec, self.cache_root, plan.key)
+        child = self._mp.Process(target=target, args=args, daemon=True)
+        child.start()
+        deadline = time.monotonic() + max(0.1, job.timeout_s)
+        while child.is_alive() and time.monotonic() < deadline:
+            child.join(timeout=0.05)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            self.observer.inc("service.timeouts")
+            raise _JobFailure(
+                f"watchdog: attempt exceeded timeout_s={job.timeout_s}; "
+                "child killed")
+        if child.exitcode != 0:
+            marker = _read_error_marker(self.cache_root, plan.key)
+            if marker is not None:
+                kind, _, detail = marker.partition("|")
+                raise _JobFailure(detail or marker,
+                                  retryable=kind != "PERMANENT")
+            raise _JobFailure(f"child exited with code {child.exitcode}")
         result = self.cache.get(plan.key)
         if result is None:
             raise _JobFailure("execution finished but left no cached "
@@ -489,8 +464,7 @@ class SchedulerService:
 
     def _fail(self, job: JobRow, error: str, retryable: bool) -> None:
         attempt = job.attempts + 1
-        backoff_s = (self.backoff.delay_s(job.id, attempt)
-                     if retryable else 0.0)
+        backoff_s = backoff_delay_s(job.id, attempt) if retryable else 0.0
         state = self.store.fail_job(job.id, error, retryable=retryable,
                                     backoff_s=backoff_s)
         obs = self.observer
@@ -509,15 +483,3 @@ class SchedulerService:
 
     def fingerprint(self) -> str:
         return campaign_fingerprint(self.store, self.cache)
-
-    def result_payload(self, job_id: int) -> Any:
-        """The DONE job's payload, recalled from the result cache."""
-        job = self.store.job(job_id)
-        if job is None or job.state != DONE or not job.result_key:
-            raise ServiceError(f"job {job_id} has no committed result")
-        result = self.cache.get(job.result_key)
-        if result is None:
-            raise ServiceError(
-                f"job {job_id}: cached result {job.result_key[:12]}... "
-                "is missing or corrupt")
-        return result.payload

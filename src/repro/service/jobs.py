@@ -21,8 +21,9 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.errors import HarnessError, SchedulingError, ServiceError
 from repro.harness.engine import (
@@ -179,6 +180,17 @@ def table_digest(rows: List[Dict[str, Any]]) -> str:
 
 # -- admission control ------------------------------------------------------------
 
+#: Live (non-terminal) jobs the queue holds before it rejects every
+#: submission, so a stuck queue back-pressures submitters instead of
+#: growing without bound.
+MAX_DEPTH = 256
+#: Live jobs one tenant may hold, so one noisy tenant cannot starve the
+#: rest of the admission budget.
+TENANT_QUOTA = 64
+#: Per-tenant quota overrides (tenant name -> live-job cap); none.
+TENANT_QUOTAS: Mapping[str, int] = MappingProxyType({})
+
+
 @dataclass
 class AdmissionDecision:
     """Accept/reject verdict for one submission, with the reason."""
@@ -190,58 +202,45 @@ class AdmissionDecision:
         return self.accepted
 
 
-@dataclass
-class AdmissionPolicy:
+def admit(depth: int, tenant_depth: int, tenant: str) -> AdmissionDecision:
     """Bounded queue depth plus per-tenant quotas.
 
-    Depth counts *live* jobs (everything not terminal), so a stuck
-    queue back-pressures submitters instead of growing without bound;
-    the per-tenant quota keeps one noisy tenant from starving the
-    rest of the admission budget.
+    Depth counts *live* jobs (everything not terminal), against
+    :data:`MAX_DEPTH`; ``tenant_depth`` counts the tenant's own live
+    jobs, against its :data:`TENANT_QUOTAS` entry or :data:`TENANT_QUOTA`.
     """
-
-    max_depth: int = 256
-    tenant_quota: int = 64
-    #: Per-tenant quota overrides (tenant name -> live-job cap).
-    tenant_quotas: Dict[str, int] = field(default_factory=dict)
-
-    def quota_for(self, tenant: str) -> int:
-        return self.tenant_quotas.get(tenant, self.tenant_quota)
-
-    def admit(self, depth: int, tenant_depth: int,
-              tenant: str) -> AdmissionDecision:
-        if depth >= self.max_depth:
-            return AdmissionDecision(
-                False, f"queue full: {depth} live jobs >= "
-                       f"max depth {self.max_depth}")
-        quota = self.quota_for(tenant)
-        if tenant_depth >= quota:
-            return AdmissionDecision(
-                False, f"tenant {tenant!r} over quota: {tenant_depth} "
-                       f"live jobs >= quota {quota}")
-        return AdmissionDecision(True, "admitted")
+    if depth >= MAX_DEPTH:
+        return AdmissionDecision(
+            False, f"queue full: {depth} live jobs >= max depth {MAX_DEPTH}")
+    quota = TENANT_QUOTAS.get(tenant, TENANT_QUOTA)
+    if tenant_depth >= quota:
+        return AdmissionDecision(
+            False, f"tenant {tenant!r} over quota: {tenant_depth} "
+                   f"live jobs >= quota {quota}")
+    return AdmissionDecision(True, "admitted")
 
 
 # -- retry backoff ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BackoffPolicy:
+#: Delay before the first retry; each later attempt doubles it.
+BACKOFF_BASE_S = 0.05
+#: Upper bound on the un-jittered delay.
+BACKOFF_CAP_S = 5.0
+#: Seed of the per-(job, attempt) jitter draws.
+BACKOFF_SEED = 0
+
+
+def backoff_delay_s(job_id: int, attempt: int) -> float:
     """Exponential backoff with deterministic jitter.
 
-    ``base * 2**(attempt-1)`` capped at ``cap``, scaled by a jitter
-    factor in ``[0.5, 1.0)`` drawn from a PRNG seeded with
-    ``(seed, job_id, attempt)`` - deterministic per (job, attempt), so
-    a recovered daemon re-derives the same schedule and chaos replays
-    stay reproducible.
+    ``BACKOFF_BASE_S * 2**(attempt-1)`` capped at ``BACKOFF_CAP_S``,
+    scaled by a jitter factor in ``[0.5, 1.0)`` drawn from a PRNG
+    seeded with ``(BACKOFF_SEED, job_id, attempt)`` - deterministic per
+    (job, attempt), so a recovered daemon re-derives the same schedule
+    and chaos replays stay reproducible.
     """
-
-    base_s: float = 0.05
-    cap_s: float = 5.0
-    seed: int = 0
-
-    def delay_s(self, job_id: int, attempt: int) -> float:
-        if attempt <= 0:
-            return 0.0
-        raw = min(self.cap_s, self.base_s * (2.0 ** (attempt - 1)))
-        rng = random.Random(f"{self.seed}:{job_id}:{attempt}")
-        return raw * (0.5 + 0.5 * rng.random())
+    if attempt <= 0:
+        return 0.0
+    raw = min(BACKOFF_CAP_S, BACKOFF_BASE_S * (2.0 ** (attempt - 1)))
+    rng = random.Random(f"{BACKOFF_SEED}:{job_id}:{attempt}")
+    return raw * (0.5 + 0.5 * rng.random())

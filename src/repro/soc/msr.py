@@ -27,28 +27,15 @@ class EnergyMsr:
         self._accumulated_j = 0.0
 
     def deposit(self, joules: float) -> None:
-        """Called by the simulator as power integrates over time."""
+        """Called by the simulator as power integrates over time.
+
+        One call may advance the register across several 32-bit wraps
+        (a macro-step deposits ``power * duration`` at once); the
+        accumulator stays unwrapped and wraps only at :meth:`read`.
+        """
         if joules < 0:
             raise SimulationError("cannot deposit negative energy")
         self._accumulated_j += joules
-
-    def deposit_power(self, power_w: float, duration_s: float) -> int:
-        """Bulk deposit: integrate constant ``power_w`` over ``duration_s``.
-
-        One call may advance the register across *several* full 32-bit
-        wraps.  The accumulator is an unwrapped float (wrapping happens
-        at :meth:`read` time), so multi-wrap jumps are exact by
-        construction - for :meth:`deposit` too, which the simulator's
-        macro-steps use; this variant also returns how many wrap
-        boundaries the deposit crossed, for the multi-wrap unit tests.
-        """
-        if power_w < 0:
-            raise SimulationError("cannot deposit negative power")
-        if duration_s < 0:
-            raise SimulationError("cannot deposit over negative time")
-        before = self.wrap_count
-        self._accumulated_j += power_w * duration_s
-        return self.wrap_count - before
 
     def read(self) -> int:
         """Raw register read: quantized, wrapped to 32 bits."""

@@ -16,16 +16,12 @@ They form the cross-product of {compute-bound, memory-bound} x
   code is scalar and branchy (low effective IPC) while the GPU version
   streams well.
 
-Each micro-benchmark also carries a real numpy body so the examples
-and tests can execute it for real; the characterization sweep itself
-only needs the cost model.
+The characterization sweep needs only each probe's cost model.
 """
 
 from __future__ import annotations
 
 from typing import List
-
-import numpy as np
 
 from repro.core.categories import (
     Boundedness,
@@ -33,7 +29,6 @@ from repro.core.categories import (
     WorkloadCategory,
 )
 from repro.core.characterization import CharacterizationMicrobench
-from repro.runtime.kernel import Kernel
 from repro.soc.cost_model import KernelCostModel
 
 #: CPU-alone duration targets used during characterization.
@@ -129,40 +124,3 @@ def microbench_for(category: WorkloadCategory) -> CharacterizationMicrobench:
         if bench.category == category:
             return bench
     raise KeyError(str(category))
-
-
-# -- real executable bodies (for tests and examples) ----------------------------
-
-class ComputeProbe:
-    """Executable FMA probe: out[i] accumulates repeated multiply-adds."""
-
-    def __init__(self, n_items: int, fma_per_item: int = 64) -> None:
-        self.out = np.zeros(n_items)
-        self.fma_per_item = fma_per_item
-
-    def body(self, lo: int, hi: int) -> None:
-        x = np.full(hi - lo, 1.000001)
-        acc = np.zeros(hi - lo)
-        for _ in range(self.fma_per_item):
-            acc = acc * x + x
-        self.out[lo:hi] = acc
-
-    def make_kernel(self, cost: KernelCostModel) -> Kernel:
-        return Kernel(name=cost.name, cost=cost, cpu_fn=self.body)
-
-
-class MemoryProbe:
-    """Executable random-update probe over a scatter index array."""
-
-    def __init__(self, n_items: int, table_size: int = 1 << 20,
-                 seed: int = 1) -> None:
-        rng = np.random.default_rng(seed)
-        self.indices = rng.integers(0, table_size, size=n_items)
-        self.table = np.zeros(table_size)
-
-    def body(self, lo: int, hi: int) -> None:
-        idx = self.indices[lo:hi]
-        np.add.at(self.table, idx, 1.0)
-
-    def make_kernel(self, cost: KernelCostModel) -> Kernel:
-        return Kernel(name=cost.name, cost=cost, cpu_fn=self.body)

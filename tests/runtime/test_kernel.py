@@ -37,21 +37,6 @@ class TestKernel:
         with pytest.raises(RuntimeLayerError):
             Kernel(name="k", cost=cost).execute_cpu(0, 1)
 
-    def test_gpu_falls_back_to_cpu_body(self, cost):
-        calls = []
-        kernel = Kernel(name="k", cost=cost,
-                        cpu_fn=lambda lo, hi: calls.append("cpu"))
-        kernel.execute_gpu(0, 1)
-        assert calls == ["cpu"]
-
-    def test_distinct_gpu_body_preferred(self, cost):
-        calls = []
-        kernel = Kernel(name="k", cost=cost,
-                        cpu_fn=lambda lo, hi: calls.append("cpu"),
-                        gpu_fn=lambda lo, hi: calls.append("gpu"))
-        kernel.execute_gpu(0, 1)
-        assert calls == ["gpu"]
-
     def test_has_real_body(self, cost):
         assert not Kernel(name="k", cost=cost).has_real_body
         assert Kernel(name="k", cost=cost,

@@ -1,32 +1,40 @@
 """SchedulerService end-to-end: execution, retries, replays, timeouts,
 recovery, and the warm table-G fast path the service exists for.
 
-Most tests run ``inline=True`` (in-process execution) for speed; the
-watchdog-timeout test uses real supervised children, and the full
-kill -9 story lives in ``test_crashchaos.py``.
+Every attempt runs in a watchdog-supervised forked child, as in
+production; a monkeypatched module function reaches the child because
+fork copies the patched module.  The full kill -9 story, orphaned job
+children included, lives in ``test_crashchaos.py``.
 """
 
 import time
 
 import pytest
 
-from repro.errors import ServiceError, WorkloadError
+from repro.errors import WorkloadError
 from repro.harness.suite import (
     clear_characterization_cache,
     remember_characterization,
 )
 from repro.obs.observer import Observer
 from repro.service import daemon as daemon_mod
+from repro.service import jobs as jobs_mod
 from repro.service.daemon import SchedulerService
-from repro.service.jobs import AdmissionPolicy, JobSpec
+from repro.service.jobs import JobSpec
 from repro.service.store import DEAD, DONE, FAILED, PENDING
 from repro.soc.spec import haswell_desktop
 
 
 def _service(tmp_path, **kwargs) -> SchedulerService:
-    kwargs.setdefault("inline", True)
     return SchedulerService(str(tmp_path / "svc.db"),
                             str(tmp_path / "cache"), **kwargs)
+
+
+def _payload(service: SchedulerService, job_id: int):
+    """The DONE job's payload, recalled from the result cache."""
+    job = service.store.job(job_id)
+    assert job.state == DONE and job.result_key
+    return service.cache.get(job.result_key).payload
 
 
 @pytest.fixture
@@ -49,9 +57,7 @@ class TestEndToEnd:
             outcome = service.submit(tablet_spec)
             assert outcome.accepted
             service.run_until_idle()
-            job = service.store.job(outcome.job_id)
-            assert job.state == DONE and job.result_key
-            payload = service.result_payload(job.id)
+            payload = _payload(service, outcome.job_id)
             assert payload["platform"] == "baytrail-tablet"
             assert payload["run"].time_s > 0.0
             # The learned table G was committed with the completion.
@@ -60,11 +66,12 @@ class TestEndToEnd:
             service.close()
 
     def test_result_payload_requires_done(self, tmp_path, tablet_spec):
+        """A job has a result pointer only once its completion commits."""
         service = _service(tmp_path)
         try:
             outcome = service.submit(tablet_spec)
-            with pytest.raises(ServiceError, match="no committed result"):
-                service.result_payload(outcome.job_id)
+            job = service.store.job(outcome.job_id)
+            assert job.state == PENDING and job.result_key is None
         finally:
             service.close()
 
@@ -80,9 +87,10 @@ class TestEndToEnd:
         finally:
             service.close()
 
-    def test_admission_enforces_queue_bound(self, tmp_path, tablet_spec):
-        service = _service(tmp_path,
-                           admission=AdmissionPolicy(max_depth=1))
+    def test_admission_enforces_queue_bound(self, tmp_path, tablet_spec,
+                                            monkeypatch):
+        monkeypatch.setattr(jobs_mod, "MAX_DEPTH", 1)
+        service = _service(tmp_path)
         try:
             assert service.submit(tablet_spec).accepted
             rejected = service.submit(tablet_spec)
@@ -135,13 +143,13 @@ class TestFailureHandling:
 
     def test_child_failure_carries_real_error_message(
             self, tmp_path, tablet_spec, monkeypatch):
-        """In child mode the error crosses the process boundary via
-        the marker file, classified for retryability."""
+        """The error crosses the process boundary via the marker file,
+        classified for retryability."""
         def reject(*args, **kwargs):
             raise WorkloadError("broken in the child")
 
         monkeypatch.setattr(daemon_mod, "_run_warm_payload", reject)
-        service = _service(tmp_path, inline=False)
+        service = _service(tmp_path)
         try:
             outcome = service.submit(tablet_spec, max_retries=5)
             service.run_until_idle()
@@ -157,7 +165,7 @@ class TestFailureHandling:
 
         monkeypatch.setattr(daemon_mod, "_run_warm_payload", hang)
         observer = Observer()
-        service = _service(tmp_path, inline=False, observer=observer)
+        service = _service(tmp_path, observer=observer)
         try:
             outcome = service.submit(
                 JobSpec(workload="BS", platform="tablet",
@@ -241,7 +249,7 @@ class TestWarmTableFastPath:
             start = time.monotonic()
             service.run_until_idle()
             cold_wall = time.monotonic() - start
-            cold_payload = service.result_payload(cold.job_id)
+            cold_payload = _payload(service, cold.job_id)
             assert any(d.profile_rounds > 0
                        for d in cold_payload["decisions"])
         finally:
@@ -255,7 +263,7 @@ class TestWarmTableFastPath:
             start = time.monotonic()
             warm_service.run_until_idle()
             warm_wall = time.monotonic() - start
-            payload = warm_service.result_payload(warm.job_id)
+            payload = _payload(warm_service, warm.job_id)
             decisions = payload["decisions"]
             assert decisions, "warm run recorded no decisions"
             assert all(d.exit_path == "table-hit" for d in decisions)

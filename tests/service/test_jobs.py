@@ -1,12 +1,15 @@
 """JobSpec canonicalization, admission control, and backoff policy."""
 
+import random
+
 import pytest
 
 from repro.errors import ServiceError
+from repro.service import jobs as jobs_mod
 from repro.service.jobs import (
-    AdmissionPolicy,
-    BackoffPolicy,
     JobSpec,
+    admit,
+    backoff_delay_s,
     table_digest,
 )
 
@@ -76,42 +79,56 @@ class TestJobSpec:
 
 class TestAdmissionPolicy:
     def test_admits_within_bounds(self):
-        decision = AdmissionPolicy().admit(depth=0, tenant_depth=0,
-                                           tenant="t")
+        decision = admit(depth=0, tenant_depth=0, tenant="t")
         assert decision and decision.reason == "admitted"
 
-    def test_rejects_full_queue_with_reason(self):
-        policy = AdmissionPolicy(max_depth=2)
-        decision = policy.admit(depth=2, tenant_depth=0, tenant="t")
+    def test_default_bounds(self):
+        """256 live jobs fill the queue; 64 fill one tenant's quota."""
+        assert admit(depth=255, tenant_depth=0, tenant="t")
+        assert not admit(depth=256, tenant_depth=0, tenant="t")
+        assert admit(depth=100, tenant_depth=63, tenant="t")
+        assert not admit(depth=100, tenant_depth=64, tenant="t")
+
+    def test_rejects_full_queue_with_reason(self, monkeypatch):
+        monkeypatch.setattr(jobs_mod, "MAX_DEPTH", 2)
+        decision = admit(depth=2, tenant_depth=0, tenant="t")
         assert not decision
         assert "queue full" in decision.reason
 
-    def test_rejects_over_quota_tenant_with_reason(self):
-        policy = AdmissionPolicy(max_depth=100, tenant_quota=1)
-        decision = policy.admit(depth=5, tenant_depth=1, tenant="noisy")
+    def test_rejects_over_quota_tenant_with_reason(self, monkeypatch):
+        monkeypatch.setattr(jobs_mod, "TENANT_QUOTA", 1)
+        decision = admit(depth=5, tenant_depth=1, tenant="noisy")
         assert not decision
         assert "noisy" in decision.reason and "quota" in decision.reason
 
-    def test_per_tenant_override(self):
-        policy = AdmissionPolicy(tenant_quota=1,
-                                 tenant_quotas={"bulk": 10})
-        assert policy.admit(depth=5, tenant_depth=5, tenant="bulk")
-        assert not policy.admit(depth=5, tenant_depth=5, tenant="other")
+    def test_per_tenant_override(self, monkeypatch):
+        monkeypatch.setattr(jobs_mod, "TENANT_QUOTA", 1)
+        monkeypatch.setattr(jobs_mod, "TENANT_QUOTAS", {"bulk": 10})
+        assert admit(depth=5, tenant_depth=5, tenant="bulk")
+        assert not admit(depth=5, tenant_depth=5, tenant="other")
 
 
 class TestBackoffPolicy:
     def test_deterministic_per_job_and_attempt(self):
-        a = BackoffPolicy(seed=1)
-        b = BackoffPolicy(seed=1)
-        assert a.delay_s(7, 3) == b.delay_s(7, 3)
-        assert a.delay_s(7, 3) != a.delay_s(8, 3)
+        assert backoff_delay_s(7, 3) == backoff_delay_s(7, 3)
+        assert backoff_delay_s(7, 3) != backoff_delay_s(8, 3)
 
-    def test_grows_exponentially_until_cap(self):
-        policy = BackoffPolicy(base_s=0.1, cap_s=1.0, seed=0)
+    def test_default_schedule_and_jitter_draws(self):
+        """0.05 s * 2**(attempt-1), capped at 5 s, jittered by the
+        draw of ``random.Random("0:{job}:{attempt}")``."""
+        for job_id, attempt in ((1, 1), (7, 3), (2, 8), (5, 20)):
+            raw = min(5.0, 0.05 * 2.0 ** (attempt - 1))
+            jitter = random.Random(f"0:{job_id}:{attempt}").random()
+            assert backoff_delay_s(job_id, attempt) == (
+                raw * (0.5 + 0.5 * jitter))
+
+    def test_grows_exponentially_until_cap(self, monkeypatch):
+        monkeypatch.setattr(jobs_mod, "BACKOFF_BASE_S", 0.1)
+        monkeypatch.setattr(jobs_mod, "BACKOFF_CAP_S", 1.0)
         # Jitter is in [0.5, 1.0), so raw bounds still separate tiers.
-        assert 0.05 <= policy.delay_s(1, 1) < 0.1
-        assert 0.1 <= policy.delay_s(1, 2) < 0.2
-        assert policy.delay_s(1, 20) < 1.0  # capped
+        assert 0.05 <= backoff_delay_s(1, 1) < 0.1
+        assert 0.1 <= backoff_delay_s(1, 2) < 0.2
+        assert backoff_delay_s(1, 20) < 1.0  # capped
 
     def test_zeroth_attempt_has_no_delay(self):
-        assert BackoffPolicy().delay_s(1, 0) == 0.0
+        assert backoff_delay_s(1, 0) == 0.0

@@ -291,11 +291,13 @@ class TestPcuFastForwardContract:
 
 
 class TestMsrMultiWrapDeposit:
+    """Bulk deposits (``power * duration`` in one call, as macro-steps
+    make them) may cross several 32-bit wraps at once."""
+
     def test_bulk_deposit_crosses_several_wraps(self):
         msr = EnergyMsr(energy_unit_j=2.0 ** -14)
         period = msr.max_window_joules()
-        crossed = msr.deposit_power(power_w=period, duration_s=3.5)
-        assert crossed == 3
+        msr.deposit(period * 3.5)
         assert msr.wrap_count == 3
         assert msr.lifetime_joules == pytest.approx(3.5 * period)
         # The register itself only shows the sub-wrap remainder.
@@ -304,9 +306,12 @@ class TestMsrMultiWrapDeposit:
     def test_wrap_crossings_accumulate_across_calls(self):
         msr = EnergyMsr(energy_unit_j=2.0 ** -14)
         period = msr.max_window_joules()
-        assert msr.deposit_power(period, 0.75) == 0
-        assert msr.deposit_power(period, 0.75) == 1
-        assert msr.deposit_power(period, 2.0) == 2
+        crossings = []
+        for duration_s in (0.75, 0.75, 2.0):
+            before = msr.wrap_count
+            msr.deposit(period * duration_s)
+            crossings.append(msr.wrap_count - before)
+        assert crossings == [0, 1, 2]
         assert msr.wrap_count == 3
 
     def test_multiwrap_window_aliases_like_hardware(self):
@@ -315,19 +320,18 @@ class TestMsrMultiWrapDeposit:
         msr = EnergyMsr(energy_unit_j=2.0 ** -14)
         before = msr.read()
         true_joules = 2.25 * msr.max_window_joules()
-        msr.deposit_power(true_joules, 1.0)
+        msr.deposit(true_joules)
         measured = msr.joules_between(before, msr.read())
         assert measured == pytest.approx(0.25 * msr.max_window_joules(),
                                          rel=1e-9)
 
     def test_zero_and_negative_deposits(self):
         msr = EnergyMsr(energy_unit_j=2.0 ** -14)
-        assert msr.deposit_power(0.0, 100.0) == 0
-        assert msr.deposit_power(100.0, 0.0) == 0
+        msr.deposit(0.0 * 100.0)
+        msr.deposit(100.0 * 0.0)
+        assert msr.wrap_count == 0 and msr.lifetime_joules == 0.0
         with pytest.raises(SimulationError):
-            msr.deposit_power(-1.0, 1.0)
-        with pytest.raises(SimulationError):
-            msr.deposit_power(1.0, -1.0)
+            msr.deposit(-1.0)
 
 
 class TestBatchModelBitEquality:

@@ -55,7 +55,7 @@ EXPECTED_API = sorted([
     "write_chrome_trace", "write_jsonl", "write_metrics", "validate_file",
     # scheduler service (docs/SERVICE.md)
     "SchedulerService", "JobSpec", "DurableStore",
-    "AdmissionPolicy", "AdmissionDecision",
+    "AdmissionDecision",
     # fleet simulation (docs/FLEET.md)
     "FleetSpec", "NodeSpec", "PLATFORM_KINDS",
     "TraceSpec", "FleetRequest", "TRACE_KINDS", "trace_columns",

@@ -1,4 +1,4 @@
-"""Executable micro-benchmark probes and category realization.
+"""Micro-benchmark category realization.
 
 The eight probes must actually *land* in their intended taxonomy cell
 when run on the simulated desktop: that is what makes the curve table
@@ -10,28 +10,7 @@ import pytest
 from repro.core.categories import DeviceDuration
 from repro.core.characterization import PowerCharacterizer
 from repro.soc.device import compute_rates
-from repro.workloads.microbench import (
-    ComputeProbe,
-    MemoryProbe,
-    standard_microbenches,
-)
-
-
-class TestExecutableProbes:
-    def test_compute_probe_fills_output(self):
-        probe = ComputeProbe(n_items=128, fma_per_item=4)
-        probe.body(0, 128)
-        assert (probe.out > 0).all()
-
-    def test_memory_probe_counts_updates(self):
-        probe = MemoryProbe(n_items=1000, table_size=64, seed=3)
-        probe.body(0, 1000)
-        assert probe.table.sum() == pytest.approx(1000.0)
-
-    def test_probe_kernels_have_bodies(self):
-        bench = standard_microbenches()[0]
-        kernel = ComputeProbe(64).make_kernel(bench.cost)
-        assert kernel.has_real_body
+from repro.workloads.microbench import standard_microbenches
 
 
 class TestCategoryRealization:
