@@ -59,7 +59,6 @@ from repro.core.scheduler import (
     SchedulerConfig,
 )
 from repro.errors import (
-    AdmissionError,
     GpuFaultError,
     HarnessError,
     ObservabilityError,
@@ -179,7 +178,7 @@ __all__ = [
     # errors
     "ReproError", "SimulationError", "SchedulingError", "WorkloadError",
     "HarnessError", "ObservabilityError", "UnknownNameError",
-    "GpuFaultError", "ServiceError", "StoreSchemaError", "AdmissionError",
+    "GpuFaultError", "ServiceError", "StoreSchemaError",
     # platforms & simulator
     "PlatformSpec", "haswell_desktop", "baytrail_tablet",
     "IntegratedProcessor", "KernelCostModel", "TICK_MODES",

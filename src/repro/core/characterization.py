@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.categories import WorkloadCategory, all_categories, category_from_codes
+from repro.core.categories import WorkloadCategory, category_from_codes
 from repro.core.power_curve import DEFAULT_ORDER, PowerCurve, fit_power_curve
 from repro.errors import CharacterizationError
 from repro.soc.cost_model import KernelCostModel
@@ -100,10 +100,6 @@ class PlatformCharacterization:
             raise CharacterizationError(
                 f"platform {self.platform_name!r} has no curve for "
                 f"category {category}") from None
-
-    @property
-    def is_complete(self) -> bool:
-        return all(c in self.curves for c in all_categories())
 
     # -- caching ----------------------------------------------------------------
 

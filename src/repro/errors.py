@@ -76,14 +76,6 @@ class StoreSchemaError(ServiceError):
     """
 
 
-class AdmissionError(ServiceError):
-    """A job submission was rejected by admission control.
-
-    Carries the human-readable rejection reason (queue full, tenant
-    over quota, invalid job spec) so callers can surface it verbatim.
-    """
-
-
 class UnknownNameError(HarnessError, SchedulingError, WorkloadError):
     """A by-name lookup (metric, workload, experiment id) failed.
 

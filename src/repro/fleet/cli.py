@@ -100,8 +100,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(CI-friendly)")
     args = parser.parse_args(argv)
 
-    if args.jobs < 1:
-        raise HarnessError("--jobs must be >= 1")
     policies = _parse_policies(args.policy)
     fleet = FleetSpec(n_nodes=args.nodes,
                       desktop_fraction=args.desktop_fraction,

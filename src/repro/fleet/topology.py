@@ -18,16 +18,16 @@ from repro.core.metrics import metric_by_name
 from repro.errors import HarnessError, require_ints
 from repro.soc.carbon import CarbonSpec
 from repro.soc.spec import (
+    PLATFORMS,
     TICK_MODES,
     PlatformSpec,
-    baytrail_tablet,
-    haswell_desktop,
+    platform_by_name,
 )
 
 #: The node classes a fleet mixes.  Every node of a class runs the
 #: same :class:`~repro.soc.spec.PlatformSpec`, which is what lets the
 #: engine dedupe their cells fleet-wide.
-PLATFORM_KINDS: Tuple[str, ...] = ("desktop", "tablet")
+PLATFORM_KINDS: Tuple[str, ...] = tuple(PLATFORMS)
 
 
 @dataclass(frozen=True)
@@ -104,12 +104,7 @@ class FleetSpec:
 
     def platform_spec(self, platform_kind: str) -> PlatformSpec:
         """The :class:`PlatformSpec` one node class executes on."""
-        if platform_kind == "desktop":
-            return haswell_desktop(tick_mode=self.tick_mode)
-        if platform_kind == "tablet":
-            return baytrail_tablet(tick_mode=self.tick_mode)
-        raise HarnessError(f"unknown platform kind {platform_kind!r}; "
-                           f"expected one of {PLATFORM_KINDS}")
+        return platform_by_name(platform_kind, self.tick_mode)
 
     def canonical(self) -> str:
         base = (f"{self.n_nodes}|{self.desktop_fraction!r}|{self.tick_mode}"

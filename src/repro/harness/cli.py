@@ -41,14 +41,7 @@ import sys
 import time
 from typing import Any, Dict, List, Optional
 
-from repro.core.baselines import (
-    CpuOnlyScheduler,
-    GpuOnlyScheduler,
-    ProfiledPerfScheduler,
-    RaceToIdleScheduler,
-)
 from repro.core.metrics import metric_by_name
-from repro.core.scheduler import EnergyAwareScheduler
 from repro.errors import HarnessError
 from repro.harness.chaos import run_chaos_campaign
 from repro.harness.engine import (
@@ -62,15 +55,14 @@ from repro.harness.engine import (
 from repro.harness.experiment import run_application
 from repro.harness.figures import REGENERATORS, experiment_id
 from repro.harness.report import format_table, heading
-from repro.harness.suite import get_characterization
 from repro.obs.export import (
     SCHEMA_VERSION,
     TraceSection,
     write_chrome_trace,
 )
 from repro.obs.observer import Observer
-from repro.soc.faults import FaultConfig, fault_level_problem
-from repro.soc.spec import TICK_MODES, baytrail_tablet, haswell_desktop
+from repro.soc.faults import fault_level_problem
+from repro.soc.spec import PLATFORMS, TICK_MODES, platform_by_name
 from repro.workloads.registry import workload_by_abbrev
 
 
@@ -94,61 +86,57 @@ def _write_merged_metrics(path: str, observers: "Dict[str, Observer]",
         fh.write("\n")
 
 
+def _strategy_spec(name: str, metric: str,
+                   deadline_s: Optional[float]) -> SchedulerSpec:
+    """The scheduler one ``--strategies`` entry names."""
+    if name == "eas":
+        return SchedulerSpec.eas(metric)
+    if name == "race":
+        # Race-to-idle banks the same budget the constrained metric
+        # carries (--metric edp@2 -> 2 s); unconstrained metrics leave
+        # it as a pure alpha_PERF sprint.
+        return SchedulerSpec.race(deadline_s)
+    return SchedulerSpec(kind=name)
+
+
 def _run_custom(args: argparse.Namespace) -> int:
     """Run one workload under selected strategies and print the table."""
-    tablet = args.platform == "tablet"
-    factory = baytrail_tablet if tablet else haswell_desktop
-    spec = factory(tick_mode=args.tick_mode)
-    workload = workload_by_abbrev(args.run)
     metric = metric_by_name(args.metric)
     wanted = [s.strip().lower() for s in args.strategies.split(",")]
     observing = bool(args.trace or args.metrics_out)
-    fault_config = (FaultConfig.from_level(args.fault_level, seed=args.seed)
-                    if args.fault_level > 0.0 else None)
-
-    def make(name: str):
-        if name == "cpu":
-            return CpuOnlyScheduler()
-        if name == "gpu":
-            return GpuOnlyScheduler()
-        if name == "perf":
-            return ProfiledPerfScheduler()
-        if name == "eas":
-            return EnergyAwareScheduler(get_characterization(spec), metric)
-        if name == "race":
-            # Race-to-idle banks the same budget the constrained metric
-            # carries (--metric edp@2 -> 2 s); unconstrained metrics
-            # leave it as a pure alpha_PERF sprint.
-            return RaceToIdleScheduler(
-                deadline_s=getattr(metric, "deadline_s", None))
-        raise HarnessError(
-            f"unknown strategy {name!r}; expected cpu, gpu, perf, "
-            f"race or eas")
+    platform = platform_by_name(args.platform, args.tick_mode)
+    runs = [RunSpec(platform=platform, workload=args.run,
+                    scheduler=_strategy_spec(
+                        name, args.metric, getattr(metric, "deadline_s", None)),
+                    tablet=args.platform == "tablet",
+                    fault_level=args.fault_level, seed=args.seed)
+            for name in wanted]
+    workload = workload_by_abbrev(args.run)
 
     if args.trace_csv and len(wanted) != 1:
         raise HarnessError("--trace-csv needs exactly one strategy "
                            "(use --strategies eas, for example)")
 
-    print(heading(f"{workload.name} ({workload.abbrev}) on {spec.name}, "
+    print(heading(f"{workload.name} ({workload.abbrev}) on {platform.name}, "
                   f"metric={metric.name}"
                   + (f", fault-level={args.fault_level}"
-                     if fault_config else "")))
+                     if args.fault_level > 0.0 else "")))
     rows = []
     sections: List[TraceSection] = []
     observers: Dict[str, Observer] = {}
-    for name in wanted:
+    for name, spec in zip(wanted, runs):
         observer = None
         if observing:
             observer = Observer(metadata={
-                "workload": workload.abbrev, "platform": spec.name,
+                "workload": workload.abbrev, "platform": platform.name,
                 "strategy": name, "metric": metric.name,
                 "seed": args.seed, "fault_level": args.fault_level})
             observers[name] = observer
-        run = run_application(spec, workload, make(name), name,
-                              tablet=tablet,
+        run = run_application(platform, workload, spec.build_scheduler(),
+                              name, tablet=spec.tablet,
                               trace=bool(args.trace_csv) or bool(args.trace),
                               observer=observer,
-                              fault_config=fault_config)
+                              fault_config=spec.fault_config())
         if observing:
             sections.append(TraceSection(name=name, observer=observer,
                                          power_trace=run.trace))
@@ -166,7 +154,7 @@ def _run_custom(args: argparse.Namespace) -> int:
     best = min(rows, key=lambda r: r[4])
     print(f"\nbest {metric.name}: {best[0]}")
 
-    metadata = {"workload": workload.abbrev, "platform": spec.name,
+    metadata = {"workload": workload.abbrev, "platform": platform.name,
                 "metric": metric.name, "strategies": wanted,
                 "seed": args.seed, "fault_level": args.fault_level}
     if args.trace:
@@ -183,18 +171,14 @@ def _run_multiprogram(args: argparse.Namespace,
     """Run a multiprogram co-scheduling experiment through the engine."""
     from repro.runtime.tenancy import TenancySpec, parse_tenant_specs
 
-    if args.lease_quantum < 1:
-        raise HarnessError("--lease-quantum must be >= 1")
     tenancy = TenancySpec(policy=args.arbiter,
                           lease_quantum=args.lease_quantum,
                           tenants=parse_tenant_specs(args.tenants))
-    tablet = args.platform == "tablet"
-    factory = baytrail_tablet if tablet else haswell_desktop
     spec = RunSpec(
-        platform=factory(tick_mode=args.tick_mode),
+        platform=platform_by_name(args.platform, args.tick_mode),
         kind=KIND_MULTIPROGRAM,
         scheduler=SchedulerSpec.eas(metric=args.metric),
-        tablet=tablet,
+        tablet=args.platform == "tablet",
         fault_level=args.fault_level,
         seed=args.seed,
         tenancy=tenancy)
@@ -241,7 +225,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "'BS,CC:5' or 'BS:0,CC:5:40,SP'); tenants "
                             "share one SoC under a GPU lease arbiter "
                             "(see --arbiter, docs/ARCHITECTURE.md)")
-    parser.add_argument("--platform", choices=("desktop", "tablet"),
+    parser.add_argument("--platform", choices=tuple(PLATFORMS),
                         default="desktop",
                         help="platform for --run (default: desktop)")
     parser.add_argument("--metric", default="edp",
@@ -303,8 +287,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "fast")
     args = parser.parse_args(argv)
 
-    if args.jobs < 1:
-        raise HarnessError("--jobs must be >= 1")
     problem = fault_level_problem(args.fault_level)
     if problem is not None:
         raise HarnessError(f"--fault-level: {problem}")

@@ -269,7 +269,7 @@ def run_crash_chaos(platforms: Sequence[str] = DEFAULT_PLATFORMS,
         char_by_platform: Dict[str, str] = {}
         for platform in platforms:
             spec = JobSpec(workload=workloads[0], platform=platform,
-                           tick_mode=tick_mode).platform_spec()
+                           tick_mode=tick_mode).to_runspec().platform
             char_by_platform[spec.name] = (
                 get_characterization(spec).to_json())
         for platform in platforms:

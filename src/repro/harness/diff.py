@@ -48,16 +48,9 @@ from repro.soc.faults import FaultConfig
 from repro.soc.spec import (
     PlatformSpec,
     TICK_MODES,
-    baytrail_tablet,
-    haswell_desktop,
+    platform_by_name,
 )
 from repro.workloads.registry import suite_workloads, workload_by_abbrev
-
-#: Platform short names the differential grid runs over.
-PLATFORM_FACTORIES = {
-    "desktop": haswell_desktop,
-    "tablet": baytrail_tablet,
-}
 
 #: Fault levels the differential grid sweeps (clean + heavy).
 DIFF_FAULT_LEVELS = (0.0, 0.3)
@@ -119,10 +112,7 @@ class DiffCase:
     metric: str = "edp"
 
     def __post_init__(self) -> None:
-        if self.platform not in PLATFORM_FACTORIES:
-            raise HarnessError(
-                f"unknown diff platform {self.platform!r}; expected one of "
-                f"{tuple(PLATFORM_FACTORIES)}")
+        platform_by_name(self.platform)  # UnknownNameError on a miss
         if self.tenants not in (1, 2):
             raise HarnessError("diff cases cover solo and 2-tenant only")
         metric_by_name(self.metric)  # fail fast on unknown names
@@ -213,7 +203,7 @@ def _sha(text: str) -> str:
 def platform_for(case: DiffCase, mode: str) -> PlatformSpec:
     if mode not in TICK_MODES:
         raise HarnessError(f"tick mode {mode!r} not in {TICK_MODES}")
-    return PLATFORM_FACTORIES[case.platform](tick_mode=mode)
+    return platform_by_name(case.platform, mode)
 
 
 def _characterization_for(case: DiffCase):
@@ -223,7 +213,7 @@ def _characterization_for(case: DiffCase):
     # finds is attributable to the application run itself.
     from repro.harness.suite import get_characterization
 
-    return get_characterization(PLATFORM_FACTORIES[case.platform]())
+    return get_characterization(platform_by_name(case.platform))
 
 
 def _application_outcome(case: DiffCase, mode: str) -> CaseOutcome:
@@ -425,14 +415,14 @@ def compute_fingerprint(entry: str) -> str:
 
             _, platform, abbrev = parts
             return sweep_alphas(
-                PLATFORM_FACTORIES[platform](tick_mode="exact"),
+                platform_by_name(platform, "exact"),
                 workload_by_abbrev(abbrev),
                 tablet=platform == "tablet").fingerprint()
         if parts[0] == "chaos":
             from repro.harness.chaos import run_chaos_campaign
 
             return run_chaos_campaign(
-                spec=PLATFORM_FACTORIES[parts[1]](tick_mode="exact"),
+                spec=platform_by_name(parts[1], "exact"),
                 fault_levels=DIFF_FAULT_LEVELS, seed=2016).fingerprint()
         if parts[0] == "fleet":
             from repro.fleet.dispatcher import run_fleet
@@ -451,7 +441,7 @@ def compute_fingerprint(entry: str) -> str:
             from repro.runtime.tenancy import parse_tenant_specs, run_multiprogram
 
             result = run_multiprogram(
-                spec=PLATFORM_FACTORIES[platform](tick_mode="exact"),
+                spec=platform_by_name(platform, "exact"),
                 tenants=parse_tenant_specs("MB:1,BS:0"), policy=policy,
                 seed=2016, metric=EDP, tablet=platform == "tablet",
                 characterization=_characterization_for(

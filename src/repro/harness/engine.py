@@ -161,7 +161,8 @@ _REGISTRY_WORKLOAD_KINDS = (KIND_APPLICATION, KIND_CHAOS_CELL,
                             KIND_CHAOS_BASELINE, KIND_FLEET_CELL,
                             KIND_CLASSIFICATION)
 
-_SCHEDULER_KINDS = ("cpu", "gpu", "perf", "static", "eas", "race")
+#: The scheduler kinds a :class:`SchedulerSpec` describes.
+SCHEDULER_KINDS = ("cpu", "gpu", "perf", "static", "eas", "race")
 _STRATEGY_NAMES = {"cpu": "CPU", "gpu": "GPU", "perf": "PERF", "eas": "EAS",
                    "race": "RACE"}
 
@@ -208,10 +209,10 @@ class SchedulerSpec:
     deadline_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _SCHEDULER_KINDS:
+        if self.kind not in SCHEDULER_KINDS:
             raise HarnessError(
                 f"unknown scheduler kind {self.kind!r}; "
-                f"expected one of {_SCHEDULER_KINDS}")
+                f"expected one of {SCHEDULER_KINDS}")
         if self.kind == "static":
             if self.alpha is None:
                 raise HarnessError("static scheduler spec needs an alpha")
@@ -219,6 +220,11 @@ class SchedulerSpec:
                 StaticAlphaScheduler(alpha=self.alpha)
             except SchedulingError as exc:
                 raise HarnessError(str(exc)) from exc
+        elif self.alpha is not None:
+            raise HarnessError("alpha is a static scheduler knob; "
+                               f"a {self.kind} scheduler takes none")
+        if self.kind == "eas":
+            metric_by_name(self.metric)  # UnknownNameError on a miss
         if self.deadline_s is not None:
             if self.kind != "race":
                 raise HarnessError(
@@ -261,8 +267,7 @@ class SchedulerSpec:
         in a worker.
         """
         name = metric if isinstance(metric, str) else metric.name
-        resolved = metric_by_name(name)  # UnknownNameError on a miss
-        if not isinstance(metric, str) and resolved != metric:
+        if not isinstance(metric, str) and metric_by_name(name) != metric:
             raise HarnessError(
                 f"metric {metric!r} is not the registry metric {name!r}; "
                 f"a custom objective runs in-process with run_application")
@@ -342,7 +347,11 @@ class RunSpec:
             raise HarnessError(f"unknown run kind {self.kind!r}; "
                                f"expected one of {_ALL_KINDS}")
         if self.kind in _REGISTRY_WORKLOAD_KINDS:
-            workload_by_abbrev(self.workload)  # UnknownNameError on a miss
+            # UnknownNameError on a miss.
+            workload = workload_by_abbrev(self.workload)
+            if self.tablet and not workload.tablet_supported:
+                raise HarnessError(f"{workload.abbrev} does not build on "
+                                   f"the 32-bit tablet")
         problem = fault_level_problem(self.fault_level)
         if problem is not None:
             raise HarnessError(problem)
@@ -371,6 +380,19 @@ class RunSpec:
 
     def param(self, name: str, default: float = 0.0) -> float:
         return dict(self.params).get(name, default)
+
+    def fault_config(self) -> Optional[FaultConfig]:
+        """The seeded fault injection this run executes under, if any."""
+        if self.fault_level <= 0.0:
+            return None
+        return FaultConfig.from_level(self.fault_level, seed=self.seed)
+
+    def build_scheduler(self, characterization=None) -> object:
+        """This run's scheduler; EAS looks up the platform
+        characterization unless it is handed one."""
+        if self.scheduler.kind == "eas" and characterization is None:
+            characterization = _characterization_for(self.platform)
+        return self.scheduler.build(characterization)
 
     # -- content addressing ------------------------------------------------------
 
@@ -474,17 +496,11 @@ def _characterization_for(platform: PlatformSpec):
 
 def _run_application_spec(spec: RunSpec,
                           observer: Optional[Observer]) -> Any:
-    workload = workload_by_abbrev(spec.workload)
-    characterization = None
-    if spec.scheduler.kind == "eas":
-        characterization = _characterization_for(spec.platform)
-    scheduler = spec.scheduler.build(characterization)
-    fault_config = (FaultConfig.from_level(spec.fault_level, seed=spec.seed)
-                    if spec.fault_level > 0.0 else None)
-    return run_application(spec.platform, workload, scheduler,
+    return run_application(spec.platform, workload_by_abbrev(spec.workload),
+                           spec.build_scheduler(),
                            strategy_name=spec.scheduler.strategy_name,
                            tablet=spec.tablet, observer=observer,
-                           fault_config=fault_config)
+                           fault_config=spec.fault_config())
 
 
 def _run_chaos_cell_spec(spec: RunSpec, observer: Optional[Observer]) -> Any:

@@ -56,7 +56,13 @@ from repro.harness.suite import (
 )
 from repro.runtime.runtime import ConcordRuntime
 from repro.soc.simulator import IntegratedProcessor
-from repro.soc.spec import PlatformSpec, baytrail_tablet, haswell_desktop
+from repro.soc.spec import (
+    PLATFORMS,
+    PlatformSpec,
+    baytrail_tablet,
+    haswell_desktop,
+    platform_by_name,
+)
 from repro.soc.trace import PowerTrace
 from repro.soc.work import CostProfile
 from repro.workloads.base import Workload
@@ -649,10 +655,8 @@ def regenerate_objectives(tick_mode: Optional[str] = None
     from repro.soc.carbon import CarbonSpec
 
     engine = get_default_engine()
-    platforms = [("desktop", haswell_desktop(tick_mode=tick_mode or "fast"),
-                  False),
-                 ("tablet", baytrail_tablet(tick_mode=tick_mode or "fast"),
-                  True)]
+    platforms = [(name, platform_by_name(name, tick_mode or "fast"),
+                  name == "tablet") for name in PLATFORMS]
     cells = [(name, spec, tablet, abbrev)
              for name, spec, tablet in platforms
              for abbrev in _OBJECTIVES_WORKLOADS]

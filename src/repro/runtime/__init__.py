@@ -9,8 +9,6 @@ This package reproduces that structure:
 
 * :mod:`repro.runtime.deque` - a Chase-Lev work-stealing deque (a real,
   thread-safe data structure, exercised by the host-execution pool);
-* :mod:`repro.runtime.shared_counter` - the shared global work counter
-  profiling drains (Fig. 7, OnlineProfile);
 * :mod:`repro.runtime.workstealing` - a host-thread work-stealing pool
   used to execute workloads' *real* Python kernels for validation;
 * :mod:`repro.runtime.kernel` - the kernel abstraction: a CPU function,
@@ -26,7 +24,6 @@ This package reproduces that structure:
 from repro.runtime.deque import ChaseLevDeque
 from repro.runtime.kernel import Kernel
 from repro.runtime.runtime import ConcordRuntime, InvocationResult, KernelLaunch
-from repro.runtime.shared_counter import SharedWorkCounter
 from repro.runtime.tenancy import (
     ARBITER_POLICIES,
     GpuLeaseArbiter,
@@ -42,7 +39,6 @@ from repro.runtime.workstealing import WorkStealingPool
 
 __all__ = [
     "ChaseLevDeque",
-    "SharedWorkCounter",
     "WorkStealingPool",
     "Kernel",
     "ConcordRuntime",

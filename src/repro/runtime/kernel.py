@@ -45,7 +45,3 @@ class Kernel:
         if self.cpu_fn is None:
             raise RuntimeLayerError(f"kernel {self.name} has no CPU body")
         self.cpu_fn(lo, hi)
-
-    @property
-    def has_real_body(self) -> bool:
-        return self.cpu_fn is not None

@@ -32,7 +32,8 @@ import tempfile
 import time
 from typing import List, Optional
 
-from repro.errors import ReproError
+from repro.errors import ReproError, ServiceError
+from repro.harness.engine import SCHEDULER_KINDS
 from repro.harness.report import format_table
 from repro.obs.export import write_metrics
 from repro.obs.observer import Observer
@@ -43,7 +44,7 @@ from repro.service.daemon import (
 )
 from repro.service.jobs import JobSpec
 from repro.service.store import DurableStore
-from repro.soc.spec import TICK_MODES
+from repro.soc.spec import PLATFORMS, TICK_MODES
 
 
 def _add_db(parser: argparse.ArgumentParser) -> None:
@@ -70,11 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
     submit = sub.add_parser("submit", help="enqueue one job")
     _add_db(submit)
     submit.add_argument("--workload", required=True, metavar="ABBREV")
-    submit.add_argument("--platform", choices=("desktop", "tablet"),
+    submit.add_argument("--platform", choices=tuple(PLATFORMS),
                         default="desktop")
-    submit.add_argument("--scheduler",
-                        choices=("cpu", "gpu", "perf", "static", "eas",
-                                 "race"),
+    submit.add_argument("--scheduler", choices=SCHEDULER_KINDS,
                         default="eas")
     submit.add_argument("--metric", default="edp",
                         help="objective name; NAME@SECONDS (e.g. edp@2) "
@@ -149,12 +148,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    spec = JobSpec(
-        workload=args.workload, platform=args.platform,
-        scheduler=args.scheduler, metric=args.metric, alpha=args.alpha,
-        fault_level=args.fault_level, seed=args.seed,
-        tick_mode=args.tick_mode, warm_table=not args.cold,
-        deadline_s=args.deadline)
+    try:
+        spec = JobSpec(
+            workload=args.workload, platform=args.platform,
+            scheduler=args.scheduler, metric=args.metric, alpha=args.alpha,
+            fault_level=args.fault_level, seed=args.seed,
+            tick_mode=args.tick_mode, warm_table=not args.cold,
+            deadline_s=args.deadline)
+    except ServiceError as exc:
+        print(f"rejected: invalid job spec: {exc}", file=sys.stderr)
+        return 1
     service = _make_service(args.db, args.cache_dir)
     try:
         outcome = service.submit(spec, tenant=args.tenant,

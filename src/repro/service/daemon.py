@@ -37,11 +37,14 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.core.characterization import PlatformCharacterization
-from repro.core.metrics import metric_by_name
 from repro.core.profiling import KernelTable
-from repro.core.scheduler import EnergyAwareScheduler
 from repro.errors import ReproError, ServiceError
-from repro.harness.engine import ResultCache, RunResult, execute_spec
+from repro.harness.engine import (
+    ResultCache,
+    RunResult,
+    RunSpec,
+    execute_spec,
+)
 from repro.harness.experiment import run_application
 from repro.obs.observer import Observer, resolve
 from repro.service.jobs import (
@@ -59,7 +62,6 @@ from repro.service.store import (
     DurableStore,
     JobRow,
 )
-from repro.soc.faults import FaultConfig
 from repro.workloads.registry import workload_by_abbrev
 
 #: Store meta key a ``drain`` command sets; the serve loop exits at
@@ -89,14 +91,13 @@ class _Plan:
     """Everything one execution attempt needs, computed at claim time."""
 
     key: str
-    warm: bool
-    spec: JobSpec
-    #: Warm path: the injected state (characterization JSON + table-G
-    #: snapshot).  Cold path: the compiled RunSpec.
+    #: The job compiled to its engine spec.
+    run_spec: RunSpec
+    warm: bool = False
+    #: Warm path only: the injected state (characterization JSON +
+    #: table-G snapshot).
     char_json: Optional[str] = None
     table_rows: Optional[List[Dict[str, Any]]] = None
-    run_spec: Optional[Any] = None
-    platform_name: str = ""
 
 
 class _JobFailure(Exception):
@@ -113,21 +114,19 @@ class _JobFailure(Exception):
 # which is what makes at-least-once execution yield exactly-once
 # results: a duplicate attempt rewrites the same bytes at the same key.
 
-def _run_warm_payload(spec: JobSpec, char_json: str,
+def _run_warm_payload(spec: RunSpec, char_json: str,
                       table_rows: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Execute one warm EAS job: scheduler seeded from table G."""
-    characterization = PlatformCharacterization.from_json(char_json)
-    platform = spec.platform_spec()
-    scheduler = EnergyAwareScheduler(characterization,
-                                     metric_by_name(spec.metric))
+    scheduler = spec.build_scheduler(
+        PlatformCharacterization.from_json(char_json))
     scheduler.table = KernelTable.from_rows(table_rows)
-    fault_config = (FaultConfig.from_level(spec.fault_level, seed=spec.seed)
-                    if spec.fault_level > 0.0 else None)
-    run = run_application(platform, workload_by_abbrev(spec.workload),
-                          scheduler, strategy_name="EAS",
-                          tablet=spec.tablet, fault_config=fault_config)
+    run = run_application(spec.platform, workload_by_abbrev(spec.workload),
+                          scheduler,
+                          strategy_name=spec.scheduler.strategy_name,
+                          tablet=spec.tablet,
+                          fault_config=spec.fault_config())
     return {
-        "platform": platform.name,
+        "platform": spec.platform.name,
         "run": run,
         "table_rows": scheduler.table.to_rows(),
         "decisions": list(scheduler.decisions),
@@ -172,19 +171,19 @@ def _clear_error_marker(cache_root: str, key: str) -> None:
         pass
 
 
-def _child_execute_warm(spec_json: str, char_json: str,
+def _child_execute_warm(run_spec: RunSpec, char_json: str,
                         table_rows: List[Dict[str, Any]],
                         cache_root: str, key: str) -> None:
     try:
-        spec = JobSpec.from_json(spec_json)
-        payload = _run_warm_payload(spec, char_json, table_rows)
+        payload = _run_warm_payload(run_spec, char_json, table_rows)
     except BaseException as exc:
         _write_error_marker(cache_root, key, exc)
         raise
     ResultCache(cache_root).put(key, RunResult(key=key, payload=payload))
 
 
-def _child_execute_cold(run_spec: Any, cache_root: str, key: str) -> None:
+def _child_execute_cold(run_spec: RunSpec, cache_root: str,
+                        key: str) -> None:
     try:
         result = execute_spec(run_spec)
     except BaseException as exc:
@@ -255,18 +254,12 @@ class SchedulerService:
     def submit(self, spec: JobSpec, tenant: str = "default",
                priority: int = 0, max_retries: int = 2,
                timeout_s: float = 60.0) -> SubmitResult:
-        """Admission-controlled submission; never silently drops."""
-        try:
-            workload = workload_by_abbrev(spec.workload)
-        except Exception as exc:
-            self.observer.inc("service.admission_rejects")
-            return SubmitResult(None, AdmissionDecision(
-                False, f"invalid job spec: {exc}"))
-        if spec.tablet and not workload.tablet_supported:
-            self.observer.inc("service.admission_rejects")
-            return SubmitResult(None, AdmissionDecision(
-                False, f"invalid job spec: {spec.workload} does not "
-                       "build on the 32-bit tablet"))
+        """Admission-controlled submission; never silently drops.
+
+        ``spec`` is valid by construction (:class:`JobSpec` refuses an
+        invalid one), so admission rejects only on queue depth and
+        tenant quota.
+        """
         decision = admit(
             depth=self.store.queue_depth(),
             tenant_depth=self.store.queue_depth(tenant),
@@ -378,20 +371,18 @@ class SchedulerService:
         re-derives the identical snapshot, key, and therefore result.
         """
         spec = JobSpec.from_json(job.spec_json)
-        platform = spec.platform_spec()
+        run_spec = spec.to_runspec()
         if spec.warm:
-            char_json = self._ensure_characterization(platform)
-            rows = self.store.load_table_rows(platform.name)
+            char_json = self._ensure_characterization(run_spec.platform)
+            rows = self.store.load_table_rows(run_spec.platform.name)
             return _Plan(key=spec.warm_cache_key(table_digest(rows)),
-                         warm=True, spec=spec, char_json=char_json,
-                         table_rows=rows, platform_name=platform.name)
+                         run_spec=run_spec, warm=True, char_json=char_json,
+                         table_rows=rows)
         if spec.scheduler == "eas":
             # Cold EAS through the engine still needs the fits; seed
             # them store-first so children never re-characterize.
-            self._ensure_characterization(platform)
-        run_spec = spec.to_runspec()
-        return _Plan(key=run_spec.cache_key(), warm=False, spec=spec,
-                     run_spec=run_spec, platform_name=platform.name)
+            self._ensure_characterization(run_spec.platform)
+        return _Plan(key=run_spec.cache_key(), run_spec=run_spec)
 
     def _ensure_characterization(self, platform) -> str:
         """Store-first characterization: load the persisted fit, or
@@ -419,7 +410,7 @@ class SchedulerService:
         _clear_error_marker(self.cache_root, plan.key)
         if plan.warm:
             target, args = _child_execute_warm, (
-                plan.spec.to_json(), plan.char_json, plan.table_rows,
+                plan.run_spec, plan.char_json, plan.table_rows,
                 self.cache_root, plan.key)
         else:
             target, args = _child_execute_cold, (
@@ -456,7 +447,7 @@ class SchedulerService:
         if plan.warm and isinstance(payload, dict):
             table_rows = payload.get("table_rows")
         committed = self.store.complete_job(
-            job.id, plan.key, platform=plan.platform_name or None,
+            job.id, plan.key, platform=plan.run_spec.platform.name,
             table_rows=table_rows)
         if committed:
             self.observer.inc("service.completed")

@@ -5,7 +5,8 @@ scheduling request: which workload on which platform under which
 scheduler.  It is deliberately *textual* (platform names, workload
 abbreviations, scheduler kinds) so a job row written by one process
 lifetime rebuilds bit-identically in another - the same philosophy as
-:class:`repro.harness.engine.RunSpec`, which cold jobs compile into.
+:class:`repro.harness.engine.RunSpec`, which every job compiles into
+(and is checked by) when it is built.
 
 Warm EAS jobs (``warm_table=True``, the default for ``eas``) are the
 service's reason to exist: the scheduler is seeded with the persisted
@@ -21,30 +22,28 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, Optional
 
-from repro.errors import HarnessError, SchedulingError, ServiceError
+from repro.errors import ReproError, ServiceError
 from repro.harness.engine import (
     CACHE_SCHEMA_VERSION,
     RunSpec,
     SchedulerSpec,
 )
-from repro.soc.faults import fault_level_problem
-from repro.soc.spec import (
-    TICK_MODES,
-    baytrail_tablet,
-    haswell_desktop,
-)
-
-_PLATFORMS = ("desktop", "tablet")
-_SCHEDULERS = ("cpu", "gpu", "perf", "static", "eas", "race")
+from repro.soc.spec import platform_by_name
 
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One scheduling request, fully described by plain JSON text."""
+    """One scheduling request, fully described by plain JSON text.
+
+    Construction compiles the job to its engine :class:`RunSpec`, so
+    anything the engine would refuse (unknown platform, scheduler,
+    workload or metric, a workload the tablet cannot build, a bad
+    fault level, alpha or deadline) raises :class:`ServiceError` here.
+    """
 
     workload: str
     platform: str = "desktop"
@@ -52,6 +51,7 @@ class JobSpec:
     #: Objective metric name (``eas`` only).  Constrained spellings
     #: (``"edp@2"``) run deadline-constrained EAS.
     metric: str = "edp"
+    #: Static GPU offload ratio (``static`` only).
     alpha: Optional[float] = None
     fault_level: float = 0.0
     seed: int = 0
@@ -64,46 +64,12 @@ class JobSpec:
     deadline_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.platform not in _PLATFORMS:
-            raise ServiceError(f"unknown platform {self.platform!r}; "
-                               f"expected one of {_PLATFORMS}")
-        if self.scheduler not in _SCHEDULERS:
-            raise ServiceError(f"unknown scheduler {self.scheduler!r}; "
-                               f"expected one of {_SCHEDULERS}")
-        if self.scheduler == "static" and self.alpha is None:
-            raise ServiceError("static scheduler job needs an alpha")
-        problem = fault_level_problem(self.fault_level)
-        if problem is not None:
-            raise ServiceError(problem)
-        if self.tick_mode not in TICK_MODES:
-            raise ServiceError(f"unknown tick mode {self.tick_mode!r}; "
-                               f"expected one of {TICK_MODES}")
-        if self.deadline_s is not None and self.scheduler != "race":
-            raise ServiceError(
-                "deadline_s applies to the race scheduler only; "
-                "constrained EAS encodes its deadline in the metric "
-                "name (e.g. metric='edp@2')")
-        try:
-            self.scheduler_spec()  # validate metric/deadline early
-        except (HarnessError, SchedulingError) as exc:
-            raise ServiceError(str(exc)) from exc
+        self.to_runspec()
 
     # -- serialization -----------------------------------------------------------
 
     def to_json(self) -> str:
-        payload = {
-            "workload": self.workload,
-            "platform": self.platform,
-            "scheduler": self.scheduler,
-            "metric": self.metric,
-            "alpha": self.alpha,
-            "fault_level": self.fault_level,
-            "seed": self.seed,
-            "tick_mode": self.tick_mode,
-            "warm_table": self.warm_table,
-            "deadline_s": self.deadline_s,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "JobSpec":
@@ -111,10 +77,7 @@ class JobSpec:
             data = json.loads(text)
         except (TypeError, ValueError) as exc:
             raise ServiceError(f"unparseable job spec: {exc}") from exc
-        known = {"workload", "platform", "scheduler", "metric", "alpha",
-                 "fault_level", "seed", "tick_mode", "warm_table",
-                 "deadline_s"}
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ServiceError(f"unknown job spec field(s) {unknown}")
         return cls(**data)
@@ -128,35 +91,34 @@ class JobSpec:
     def tablet(self) -> bool:
         return self.platform == "tablet"
 
-    def platform_spec(self):
-        """The platform spec, built under this job's tick mode."""
-        factory = baytrail_tablet if self.tablet else haswell_desktop
-        return factory(tick_mode=self.tick_mode)
-
     @property
     def warm(self) -> bool:
         """True when this job takes the warm table-G execution path."""
         return self.scheduler == "eas" and self.warm_table
 
     def scheduler_spec(self) -> SchedulerSpec:
-        if self.scheduler == "static":
-            return SchedulerSpec.static(self.alpha)
-        if self.scheduler == "eas":
-            return SchedulerSpec.eas(self.metric)
-        if self.scheduler == "race":
-            return SchedulerSpec.race(self.deadline_s)
-        return SchedulerSpec(kind=self.scheduler)
+        """The engine scheduler this job runs.  ``alpha`` and
+        ``deadline_s`` go to every kind, so :class:`SchedulerSpec`
+        refuses them where they do not apply."""
+        return SchedulerSpec(
+            kind=self.scheduler, alpha=self.alpha,
+            metric=self.metric if self.scheduler == "eas" else "edp",
+            deadline_s=self.deadline_s)
 
     def to_runspec(self) -> RunSpec:
-        """Compile to an engine :class:`RunSpec` (the cold path)."""
-        return RunSpec(
-            platform=self.platform_spec(),
-            workload=self.workload,
-            scheduler=self.scheduler_spec(),
-            tablet=self.tablet,
-            fault_level=self.fault_level,
-            seed=self.seed,
-        )
+        """Compile to an engine :class:`RunSpec`; an invalid job raises
+        :class:`ServiceError` with the engine's reason."""
+        try:
+            return RunSpec(
+                platform=platform_by_name(self.platform, self.tick_mode),
+                workload=self.workload,
+                scheduler=self.scheduler_spec(),
+                tablet=self.tablet,
+                fault_level=self.fault_level,
+                seed=self.seed,
+            )
+        except ReproError as exc:
+            raise ServiceError(str(exc)) from exc
 
     def warm_cache_key(self, table_digest: str) -> str:
         """Content address of a warm run: spec + injected table state.

@@ -129,11 +129,6 @@ class KernelCostModel:
         """The classification statistic the paper thresholds at 0.33."""
         return self.l3_miss_rate
 
-    @property
-    def is_irregular(self) -> bool:
-        """Whether per-item cost varies (input-dependent control flow)."""
-        return self.item_cost_cv > 0.0
-
     def with_overrides(self, **kwargs: object) -> "KernelCostModel":
         """Return a copy with some fields replaced (for ablations)."""
         return replace(self, **kwargs)

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from repro.errors import SpecError
+from repro.errors import SpecError, UnknownNameError, closest_names
 from repro.units import gb_per_s, ghz, ms
 
 
@@ -251,8 +251,8 @@ class PlatformSpec:
         if self.gpu_profile_size <= 0:
             raise SpecError("gpu_profile_size must be positive")
         if self.tick_mode not in TICK_MODES:
-            raise SpecError(
-                f"tick_mode {self.tick_mode!r} not in {TICK_MODES}")
+            raise SpecError(f"unknown tick mode {self.tick_mode!r}; "
+                            f"expected one of {TICK_MODES}")
 
     def with_tick_mode(self, mode: str) -> "PlatformSpec":
         """This spec under another clock mode (validated, frozen copy).
@@ -485,3 +485,27 @@ def baytrail_tablet(tick_mode: Optional[str] = None) -> PlatformSpec:
         gpu_profile_size=448,
         tick_mode=_resolve_tick_mode(tick_mode),
     )
+
+
+#: The paper's two platforms by the short name the CLIs, job specs,
+#: fleets and the differential grid use.
+PLATFORMS: Dict[str, Callable[..., PlatformSpec]] = {
+    "desktop": haswell_desktop,
+    "tablet": baytrail_tablet,
+}
+
+
+def platform_by_name(name: str,
+                     tick_mode: Optional[str] = None) -> PlatformSpec:
+    """The :data:`PLATFORMS` spec called ``name``, under ``tick_mode``.
+
+    An unknown name raises :class:`~repro.errors.UnknownNameError`.
+    """
+    try:
+        factory = PLATFORMS[name]
+    except (KeyError, TypeError):
+        raise UnknownNameError(
+            f"unknown platform {name!r}; expected one of "
+            f"{tuple(PLATFORMS)}",
+            closest_names(str(name), tuple(PLATFORMS))) from None
+    return factory(tick_mode=tick_mode)

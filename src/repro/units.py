@@ -25,11 +25,6 @@ def us(value: float) -> float:
     return value * MICROSECONDS
 
 
-def seconds_to_ms(value: float) -> float:
-    """Seconds -> milliseconds."""
-    return value / MILLISECONDS
-
-
 # --- frequency ------------------------------------------------------------
 
 KHZ = 1e3
@@ -67,13 +62,3 @@ HASWELL_ENERGY_UNIT_J = 1.0 / (1 << 14)
 
 #: Bay Trail (Silvermont) uses a coarser microjoule-scale unit.
 BAYTRAIL_ENERGY_UNIT_J = 1.0 / (1 << 5) * 1e-3  # 31.25 uJ
-
-
-def joules_to_units(joules: float, unit_j: float) -> int:
-    """Quantize an energy amount to integral hardware energy units."""
-    return int(joules / unit_j)
-
-
-def units_to_joules(units: int, unit_j: float) -> float:
-    """Convert integral hardware energy units back to joules."""
-    return units * unit_j

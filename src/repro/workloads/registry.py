@@ -63,13 +63,14 @@ def workload_by_abbrev(abbrev: str) -> Workload:
     :class:`~repro.errors.WorkloadError`) with did-you-mean
     suggestions on a miss.
     """
-    cls = _workload_classes().get(abbrev.lower())
+    cls = (_workload_classes().get(abbrev.lower())
+           if isinstance(abbrev, str) else None)
     if cls is None:
         known = [c.abbrev for c in _workload_classes().values()]
         raise UnknownNameError(
             f"unknown workload abbreviation {abbrev!r}; "
             f"expected one of {known}",
-            suggestions=closest_names(abbrev, known))
+            suggestions=closest_names(str(abbrev), known))
     return cls()
 
 

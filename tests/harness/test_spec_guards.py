@@ -25,6 +25,7 @@ from repro.harness.engine import (
     RunSpec,
     SchedulerSpec,
 )
+from repro.soc.spec import baytrail_tablet
 from repro.workloads.connected_components import ConnectedComponents
 from repro.workloads.registry import workload_by_abbrev
 
@@ -133,3 +134,22 @@ def test_run_spec_rejects_fault_levels_outside_unit_interval(desktop, level):
 def test_static_scheduler_spec_rejects_alpha_outside_unit_interval(alpha):
     with pytest.raises(HarnessError, match="outside"):
         SchedulerSpec.static(alpha)
+
+
+def test_run_spec_refuses_a_workload_the_tablet_cannot_build():
+    """BFS has no 32-bit tablet build; the spec fails, not its worker."""
+    with pytest.raises(HarnessError, match="32-bit tablet"):
+        RunSpec(platform=baytrail_tablet(), workload="BFS",
+                scheduler=SchedulerSpec.cpu(), tablet=True)
+
+
+@pytest.mark.parametrize("kind", ["cpu", "gpu", "perf", "eas", "race"])
+def test_scheduler_spec_refuses_alpha_outside_static(kind):
+    with pytest.raises(HarnessError, match="alpha"):
+        SchedulerSpec(kind=kind, alpha=0.5)
+
+
+def test_eas_scheduler_spec_refuses_unknown_metric():
+    with pytest.raises(HarnessError, match="unknown metric"):
+        SchedulerSpec(kind="eas", metric="speed")
+

@@ -36,8 +36,3 @@ class TestKernel:
     def test_execute_cpu_without_body_raises(self, cost):
         with pytest.raises(RuntimeLayerError):
             Kernel(name="k", cost=cost).execute_cpu(0, 1)
-
-    def test_has_real_body(self, cost):
-        assert not Kernel(name="k", cost=cost).has_real_body
-        assert Kernel(name="k", cost=cost,
-                      cpu_fn=lambda lo, hi: None).has_real_body

@@ -48,6 +48,12 @@ class TestServiceCli:
         finally:
             service.close()
 
+    def test_submit_invalid_spec_is_rejected(self, tmp_path, capsys):
+        assert main(["submit", "--db", str(tmp_path / "svc.db"),
+                     "--workload", "XYZ"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "rejected: invalid job spec: ")
+
     @pytest.mark.parametrize("flag", [
         ["--max-depth", "1"], ["--tenant-quota", "1"], ["--poll", "0.1"],
         ["--inline"]])

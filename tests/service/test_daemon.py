@@ -7,11 +7,12 @@ fork copies the patched module.  The full kill -9 story, orphaned job
 children included, lives in ``test_crashchaos.py``.
 """
 
+import shutil
 import time
 
 import pytest
 
-from repro.errors import WorkloadError
+from repro.errors import ServiceError, WorkloadError
 from repro.harness.suite import (
     clear_characterization_cache,
     remember_characterization,
@@ -75,17 +76,12 @@ class TestEndToEnd:
         finally:
             service.close()
 
-    def test_admission_rejects_tablet_unsupported_workload(self, tmp_path):
-        service = _service(tmp_path)
-        try:
-            outcome = service.submit(
-                JobSpec(workload="CC", platform="tablet"))
-            assert not outcome.accepted
-            assert "32-bit tablet" in outcome.decision.reason
-            outcome = service.submit(JobSpec(workload="??"))
-            assert not outcome.accepted
-        finally:
-            service.close()
+    def test_admission_rejects_tablet_unsupported_workload(self):
+        """An invalid spec never reaches ``submit``: building it fails."""
+        with pytest.raises(ServiceError, match="32-bit tablet"):
+            JobSpec(workload="CC", platform="tablet")
+        with pytest.raises(ServiceError, match="unknown workload"):
+            JobSpec(workload="??")
 
     def test_admission_enforces_queue_bound(self, tmp_path, tablet_spec,
                                             monkeypatch):
@@ -236,6 +232,9 @@ class TestReplayAndRecovery:
 
 
 class TestWarmTableFastPath:
+    #: Warm service lifetimes timed; the fastest one is compared.
+    WARM_LIFETIMES = 3
+
     def test_second_submission_answers_from_table_g(
             self, tmp_path, tablet_spec, restore_desktop_fit):
         """The acceptance property: a previously seen kernel is
@@ -255,25 +254,36 @@ class TestWarmTableFastPath:
         finally:
             service.close()
 
-        # A fresh service lifetime: everything must come from the store.
-        clear_characterization_cache()
-        warm_service = _service(tmp_path)
-        try:
-            warm = warm_service.submit(tablet_spec)
-            start = time.monotonic()
-            warm_service.run_until_idle()
-            warm_wall = time.monotonic() - start
-            payload = _payload(warm_service, warm.job_id)
-            decisions = payload["decisions"]
-            assert decisions, "warm run recorded no decisions"
-            assert all(d.exit_path == "table-hit" for d in decisions)
-            assert all(d.profile_rounds == 0 for d in decisions)
-            assert all(d.from_table for d in decisions)
-            # The zero-profiling assertions above are the semantic
-            # gate; the wall-clock ratio uses a load-tolerant 5x margin
-            # (an uncontended run clears the 10x acceptance bar).
-            assert warm_wall * 5.0 <= cold_wall, (
-                f"warm path not fast enough: cold={cold_wall:.3f}s "
-                f"warm={warm_wall:.3f}s")
-        finally:
-            warm_service.close()
+        # Fresh service lifetimes, each on its own copy of the closed
+        # store and an empty result cache, so each one executes from
+        # table G instead of replaying: everything comes from the store.
+        warm_walls = []
+        for lifetime in range(self.WARM_LIFETIMES):
+            root = tmp_path / f"warm-{lifetime}"
+            root.mkdir()
+            shutil.copy(tmp_path / "svc.db", root / "svc.db")
+            clear_characterization_cache()
+            warm_service = _service(root, observer=Observer())
+            try:
+                warm = warm_service.submit(tablet_spec)
+                start = time.monotonic()
+                warm_service.run_until_idle()
+                warm_walls.append(time.monotonic() - start)
+                payload = _payload(warm_service, warm.job_id)
+                decisions = payload["decisions"]
+                assert decisions, "warm run recorded no decisions"
+                assert all(d.exit_path == "table-hit" for d in decisions)
+                assert all(d.profile_rounds == 0 for d in decisions)
+                assert all(d.from_table for d in decisions)
+                assert warm_service.observer.metrics.snapshot()[
+                    "counters"].get("service.replays", 0) == 0
+            finally:
+                warm_service.close()
+        # The zero-profiling assertions above are the semantic gate; the
+        # wall-clock ratio uses a load-tolerant 5x margin on the best
+        # warm lifetime (an uncontended run clears the 10x acceptance
+        # bar).
+        warm_wall = min(warm_walls)
+        assert warm_wall * 5.0 <= cold_wall, (
+            f"warm path not fast enough: cold={cold_wall:.3f}s "
+            f"warm={warm_walls}")

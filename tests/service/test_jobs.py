@@ -52,6 +52,48 @@ class TestJobSpec:
         with pytest.raises(ServiceError, match=match):
             JobSpec(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"workload": "XYZ"}, "unknown workload"),
+        ({"workload": 5}, "unknown workload"),
+        ({"workload": "CC", "platform": "tablet"}, "32-bit tablet"),
+        ({"workload": "BS", "scheduler": "eas", "deadline_s": 2.0},
+         "deadline_s"),
+        ({"workload": "BS", "scheduler": "eas", "metric": "speed"},
+         "unknown metric"),
+    ])
+    def test_invalid_run_refused_at_construction(self, kwargs, match):
+        """Whatever the engine would refuse, building the job refuses."""
+        with pytest.raises(ServiceError, match=match):
+            JobSpec(**kwargs)
+
+    @pytest.mark.parametrize("spec, text, sha", [
+        (JobSpec(workload="MM", platform="tablet", scheduler="race",
+                 metric="edp", alpha=None, fault_level=0.25, seed=7,
+                 tick_mode="fast", warm_table=False, deadline_s=1.5),
+         '{"alpha":null,"deadline_s":1.5,"fault_level":0.25,'
+         '"metric":"edp","platform":"tablet","scheduler":"race","seed":7,'
+         '"tick_mode":"fast","warm_table":false,"workload":"MM"}',
+         "72a4547f26ff96636fb1092861afa86fabd823088d76482be6253c62133f5cb9"),
+        (JobSpec(workload="BS", platform="desktop", scheduler="static",
+                 metric="energy", alpha=0.3, fault_level=0.0, seed=3,
+                 tick_mode="exact", warm_table=True, deadline_s=None),
+         '{"alpha":0.3,"deadline_s":null,"fault_level":0.0,'
+         '"metric":"energy","platform":"desktop","scheduler":"static",'
+         '"seed":3,"tick_mode":"exact","warm_table":true,"workload":"BS"}',
+         "0e00e1fc48028dac4d308adfa756dc56b9bdc9a6057dd4fd2d095dab362aa253"),
+        (JobSpec(workload="SL", platform="tablet", scheduler="eas",
+                 metric="edp@2", alpha=None, fault_level=0.1, seed=11,
+                 tick_mode="fast", warm_table=True, deadline_s=None),
+         '{"alpha":null,"deadline_s":null,"fault_level":0.1,'
+         '"metric":"edp@2","platform":"tablet","scheduler":"eas","seed":11,'
+         '"tick_mode":"fast","warm_table":true,"workload":"SL"}',
+         "1bdca9a6e14f714b17c3e866e0ebc495412e3255dc91cc4328f404fad977eef6"),
+    ])
+    def test_json_and_sha_pinned(self, spec, text, sha):
+        """Job rows and warm cache keys hash this text; it must not move."""
+        assert spec.to_json() == text
+        assert spec.sha() == sha
+
     def test_warm_only_for_eas(self):
         assert JobSpec(workload="BS", scheduler="eas").warm
         assert not JobSpec(workload="BS", scheduler="eas",

@@ -36,10 +36,6 @@ class TestDerivedQuantities:
     def test_miss_to_loadstore_ratio_is_classification_statistic(self):
         assert make(l3_miss_rate=0.4).miss_to_loadstore_ratio == 0.4
 
-    def test_irregularity_flag(self):
-        assert not make().is_irregular
-        assert make(item_cost_cv=0.5).is_irregular
-
     def test_with_overrides_returns_new_model(self):
         cost = make()
         other = cost.with_overrides(l3_miss_rate=0.9)

@@ -15,7 +15,7 @@ EXPECTED_API = sorted([
     # errors
     "ReproError", "SimulationError", "SchedulingError", "WorkloadError",
     "HarnessError", "ObservabilityError", "UnknownNameError",
-    "GpuFaultError", "ServiceError", "StoreSchemaError", "AdmissionError",
+    "GpuFaultError", "ServiceError", "StoreSchemaError",
     # platforms & simulator
     "PlatformSpec", "haswell_desktop", "baytrail_tablet",
     "IntegratedProcessor", "KernelCostModel", "TICK_MODES",

@@ -28,7 +28,7 @@ def pool():
 def test_workload_provides_executable_kernel(abbrev):
     kernel = workload_by_abbrev(abbrev).make_executable_kernel()
     assert kernel is not None
-    assert kernel.has_real_body
+    assert kernel.cpu_fn is not None
 
 
 class TestRealExecution:
